@@ -178,18 +178,19 @@ ctest --test-dir build-asan --output-on-failure
 # written by workers, merged canonically afterwards) must be race-free; the
 # fault-storm sweep adds per-trial injectors and trace files to that path,
 # the sharded-engine determinism suite exercises the barrier/inbox
-# synchronization under the real BGP workload, the stability/telemetry
-# property suites pin the per-shard tracker and sampler merge contracts, and
-# the svc suites hammer the daemon's single-flight dispatcher and drain path
-# from concurrent client threads.
+# synchronization under the real BGP workload, the slot-delivery suite
+# checks that cross-shard updates land on their sender's slot, the
+# stability/telemetry property suites pin the per-shard tracker and sampler
+# merge contracts, and the svc suites hammer the daemon's single-flight
+# dispatcher and drain path from concurrent client threads.
 # ASan and TSan cannot share a build, hence the third tree; scope it to the
 # threaded suites to keep the pass quick.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
 cmake --build build-tsan --target core_tests property_tests stability_tests \
-  telemetry_tests svc_tests
+  telemetry_tests svc_tests bgp_tests
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ParallelRunner|SweepDeterminism|ObsDeterminism|FaultSweepOracle|ShardedDeterminism|StabilityProperty|TelemetryProperty|TelemetryOracle|SvcService|SvcDaemon'
+  -R 'ParallelRunner|SweepDeterminism|ObsDeterminism|FaultSweepOracle|ShardedDeterminism|SlotDelivery|StabilityProperty|TelemetryProperty|TelemetryOracle|SvcService|SvcDaemon'
 
 for b in build/bench/*; do
   echo "===== $(basename "$b") ====="

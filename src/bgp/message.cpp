@@ -46,8 +46,7 @@ void UpdateMessagePool::release(std::uint32_t idx) {
   // Scrub before recycling: stale span / rc / rel_pref fields must not leak
   // into the next message parked here.
   s.msg = UpdateMessage{};
-  s.from = net::kInvalidNode;
-  s.to = net::kInvalidNode;
+  s.wire = kNoWire;
   s.epoch = 0;
   free_.push_back(idx);
   --stats_.outstanding;

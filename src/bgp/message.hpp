@@ -69,11 +69,13 @@ struct UpdateMessage {
 };
 
 /// Freelist pool for in-flight `UpdateMessage`s (plus their transport
-/// freight: endpoints and link epoch). `bgp::BgpNetwork` parks every message
-/// it puts on the wire in a slot and schedules a delivery closure that
-/// carries only the slot index — small enough for `std::function`'s inline
-/// buffer, so the per-send closure allocation disappears, and slots recycle
-/// instead of allocating per message.
+/// freight: the index of the directed wire they travel and its link epoch).
+/// `bgp::BgpNetwork` parks every message it puts on the wire in a slot and
+/// schedules a delivery closure that carries only the slot index — small
+/// enough for `std::function`'s inline buffer, so the per-send closure
+/// allocation disappears, and slots recycle instead of allocating per
+/// message. The wire index names sender, receiver and the receiver's peer
+/// slot for the sender, so delivery needs no lookup.
 ///
 /// Slots live in a deque: addresses are stable across `acquire`, so a slot
 /// reference held through a delivery survives the re-entrant sends that
@@ -83,10 +85,11 @@ struct UpdateMessage {
 /// / rel-pref freight.
 class UpdateMessagePool {
  public:
+  static constexpr std::uint32_t kNoWire = UINT32_MAX;
+
   struct Slot {
     UpdateMessage msg;
-    net::NodeId from = net::kInvalidNode;
-    net::NodeId to = net::kInvalidNode;
+    std::uint32_t wire = kNoWire;
     std::uint64_t epoch = 0;
   };
 

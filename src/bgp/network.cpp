@@ -10,8 +10,15 @@ BgpNetwork::BgpNetwork(const net::Graph& graph, const TimingConfig& cfg,
                        RibBackendKind rib_backend)
     : graph_(graph), engine_(engine), rng_(rng), cfg_(cfg), observer_(observer) {
   cfg.validate();
-  routers_.reserve(graph.node_count());
-  for (net::NodeId u = 0; u < graph.node_count(); ++u) {
+  const std::size_t n = graph.node_count();
+  std::uint32_t wire_count = 0;
+  first_wire_.reserve(n);
+  for (net::NodeId u = 0; u < n; ++u) {
+    first_wire_.push_back(wire_count);
+    wire_count += static_cast<std::uint32_t>(graph.degree(u));
+  }
+  routers_.reserve(n);
+  for (net::NodeId u = 0; u < n; ++u) {
     std::vector<BgpRouter::PeerInfo> peers;
     peers.reserve(graph.degree(u));
     for (const auto& e : graph.neighbors(u)) {
@@ -19,41 +26,49 @@ BgpNetwork::BgpNetwork(const net::Graph& graph, const TimingConfig& cfg,
     }
     routers_.push_back(std::make_unique<BgpRouter>(
         u, std::move(peers), cfg, policy, engine, rng,
-        [this](net::NodeId from, net::NodeId to, const UpdateMessage& msg) {
-          transmit(from, to, msg);
+        [this, first = first_wire_[u]](int slot, const UpdateMessage& msg) {
+          transmit(first + static_cast<std::uint32_t>(slot), msg);
         },
         observer, rib_backend));
   }
-  // Pre-build the per-directed-link wire records. LinkState entries are
-  // created up front so the Wire pointers stay valid for the network's
-  // lifetime (node-based map: addresses are stable).
-  for (net::NodeId u = 0; u < graph.node_count(); ++u) {
+  // Pre-build the directed wires in adjacency order.
+  wires_.reserve(wire_count);
+  for (net::NodeId u = 0; u < n; ++u) {
     for (const auto& e : graph.neighbors(u)) {
-      LinkState& state = link_state_[undirected_key(u, e.neighbor)];
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(u) << 32) | e.neighbor;
-      wires_.emplace(key, Wire{e.delay_s, &state, sim::SimTime::zero()});
+      Wire& wire = wires_.emplace_back();
+      wire.from = u;
+      wire.to = e.neighbor;
+      wire.to_slot = routers_[e.neighbor]->peer_slot(u);
+      wire.delay_s = e.delay_s;
     }
   }
 }
 
-void BgpNetwork::transmit(net::NodeId from, net::NodeId to,
-                          const UpdateMessage& msg) {
-  Wire& wire =
-      wires_.find((static_cast<std::uint64_t>(from) << 32) | to)->second;
-  if (!wire.state->up) {
+std::uint32_t BgpNetwork::wire_index(net::NodeId u, net::NodeId v) const {
+  if (!graph_.has_link(u, v)) {
+    throw std::invalid_argument("BgpNetwork: no such link");
+  }
+  return first_wire_[u] +
+         static_cast<std::uint32_t>(routers_[u]->peer_slot(v));
+}
+
+void BgpNetwork::transmit(std::uint32_t w, const UpdateMessage& msg) {
+  Wire& wire = wires_[w];
+  if (!wire.up) {
     ++dropped_;
-    if (observer_) observer_->on_drop(from, to, msg, engine_.now());
+    if (observer_) observer_->on_drop(wire.from, wire.to, msg, engine_.now());
     if (spans_) spans_->close(msg.span, engine_.now().as_seconds());
     return;
   }
 
   double extra = 0.0;
   if (perturb_) {
-    const Perturbation p = perturb_(from, to);
+    const Perturbation p = perturb_(wire.from, wire.to);
     if (p.drop) {
       ++dropped_;
-      if (observer_) observer_->on_drop(from, to, msg, engine_.now());
+      if (observer_) {
+        observer_->on_drop(wire.from, wire.to, msg, engine_.now());
+      }
       if (spans_) spans_->close(msg.span, engine_.now().as_seconds());
       return;
     }
@@ -75,9 +90,8 @@ void BgpNetwork::transmit(net::NodeId from, net::NodeId to,
   const std::uint32_t slot = pool_.acquire();
   UpdateMessagePool::Slot& parked = pool_.at(slot);
   parked.msg = msg;
-  parked.from = from;
-  parked.to = to;
-  parked.epoch = wire.state->epoch;
+  parked.wire = w;
+  parked.epoch = wire.epoch;
   engine_.schedule_at(when, [this, slot] { deliver_pooled(slot); },
                       sim::EventKind::kDelivery);
 }
@@ -86,32 +100,30 @@ void BgpNetwork::deliver_pooled(std::uint32_t slot) {
   // Deque-backed slots have stable addresses, so this reference survives the
   // re-entrant transmits (and pool acquires) the delivery triggers.
   const UpdateMessagePool::Slot& parked = pool_.at(slot);
-  const LinkState& state =
-      *wires_
-           .find((static_cast<std::uint64_t>(parked.from) << 32) | parked.to)
-           ->second.state;
-  if (!state.up || state.epoch != parked.epoch) {
+  const Wire& wire = wires_[parked.wire];
+  if (!wire.up || wire.epoch != parked.epoch) {
     ++dropped_;
     if (observer_) {
-      observer_->on_drop(parked.from, parked.to, parked.msg, engine_.now());
+      observer_->on_drop(wire.from, wire.to, parked.msg, engine_.now());
     }
     if (spans_) spans_->close(parked.msg.span, engine_.now().as_seconds());
     pool_.release(slot);
     return;
   }
   ++delivered_;
-  routers_[parked.to]->deliver(parked.from, parked.msg);
+  routers_[wire.to]->receive(wire.to_slot, parked.msg);
   pool_.release(slot);
 }
 
 void BgpNetwork::set_link(net::NodeId u, net::NodeId v, bool up) {
-  if (!graph_.has_link(u, v)) {
-    throw std::invalid_argument("BgpNetwork: no such link");
+  const std::uint32_t w = wire_index(u, v);
+  if (wires_[w].up == up) return;
+  const int slot_uv = static_cast<int>(w - first_wire_[u]);
+  const int slot_vu = wires_[w].to_slot;
+  for (Wire* wire : {&wires_[w], &wires_[first_wire_[v] + slot_vu]}) {
+    wire->up = up;
+    ++wire->epoch;
   }
-  LinkState& state = link_state_[undirected_key(u, v)];
-  if (state.up == up) return;
-  state.up = up;
-  ++state.epoch;
 
   // Each endpoint detects the change on its own side and tags the updates
   // it emits with a root cause for its direction of the link (§6.1).
@@ -124,8 +136,6 @@ void BgpNetwork::set_link(net::NodeId u, net::NodeId v, bool up) {
   };
   BgpRouter& ru = *routers_[u];
   BgpRouter& rv = *routers_[v];
-  const int slot_uv = ru.peer_slot(v);
-  const int slot_vu = rv.peer_slot(u);
   if (up) {
     ru.session_up(slot_uv, rc_for(u, v));
     rv.session_up(slot_vu, rc_for(v, u));
@@ -136,11 +146,7 @@ void BgpNetwork::set_link(net::NodeId u, net::NodeId v, bool up) {
 }
 
 bool BgpNetwork::link_is_up(net::NodeId u, net::NodeId v) const {
-  if (!graph_.has_link(u, v)) {
-    throw std::invalid_argument("BgpNetwork: no such link");
-  }
-  const auto it = link_state_.find(undirected_key(u, v));
-  return it == link_state_.end() || it->second.up;
+  return wires_[wire_index(u, v)].up;
 }
 
 bool BgpNetwork::all_reachable(Prefix p) const {

@@ -81,15 +81,14 @@ class BgpNetwork {
   const UpdateMessagePool& message_pool() const { return pool_; }
 
  private:
-  void transmit(net::NodeId from, net::NodeId to, const UpdateMessage& msg);
+  /// Puts `msg` on directed wire `w`.
+  void transmit(std::uint32_t w, const UpdateMessage& msg);
   /// Delivery-time half of `transmit`: checks the link is still the same
-  /// incarnation, hands the pooled message to the receiver, recycles the
-  /// slot.
+  /// incarnation, hands the pooled message to the receiver's slot, recycles
+  /// the pool slot.
   void deliver_pooled(std::uint32_t slot);
-  static std::uint64_t undirected_key(net::NodeId u, net::NodeId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
+  /// Wire from `u` to its neighbor `v`; throws if there is no such link.
+  std::uint32_t wire_index(net::NodeId u, net::NodeId v) const;
 
   const net::Graph& graph_;
   sim::Engine& engine_;
@@ -98,26 +97,26 @@ class BgpNetwork {
   Observer* observer_ = nullptr;
   obs::SpanTracer* spans_ = nullptr;
   std::vector<std::unique_ptr<BgpRouter>> routers_;
-  // Link failure state, keyed by the normalized (undirected) link key:
-  // epoch counts up/down transitions so in-flight messages from an earlier
-  // session incarnation are discarded on delivery. Fully populated at
-  // construction so `Wire` records can hold stable pointers into it.
-  struct LinkState {
+  // Hot-path record per *directed* link, built once at construction: both
+  // endpoints, the receiver's peer slot for the sender, the propagation
+  // delay, the link's failure state, and the FIFO clamp — BGP runs over
+  // TCP, so a later update must never overtake an earlier one on the same
+  // session. `set_link` updates the failure state of both directions
+  // together; `epoch` counts up/down transitions so in-flight messages from
+  // an earlier session incarnation are discarded on delivery. Wires sit in
+  // the graph's adjacency order: router `u`'s peer slot `s` sends on
+  // `first_wire_[u] + s`.
+  struct Wire {
+    net::NodeId from = net::kInvalidNode;
+    net::NodeId to = net::kInvalidNode;
+    int to_slot = -1;  ///< slot of `from` at `to`
     bool up = true;
     std::uint64_t epoch = 0;
-  };
-  std::unordered_map<std::uint64_t, LinkState> link_state_;
-  // Hot-path record per *directed* link, built once at construction: the
-  // propagation delay (avoids the O(degree) adjacency scan per message),
-  // the shared failure state of the undirected link, and the FIFO clamp —
-  // BGP runs over TCP, so a later update must never overtake an earlier one
-  // on the same session. One hash lookup per transmit covers all three.
-  struct Wire {
     double delay_s = 0.0;
-    LinkState* state = nullptr;
     sim::SimTime clear;  ///< earliest arrival for the next message
   };
-  std::unordered_map<std::uint64_t, Wire> wires_;
+  std::vector<std::uint32_t> first_wire_;
+  std::vector<Wire> wires_;
   std::unordered_map<std::uint64_t, rcn::RootCauseSource> rc_sources_;
   UpdateMessagePool pool_;
   PerturbFn perturb_;

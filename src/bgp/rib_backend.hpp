@@ -272,6 +272,15 @@ class NullStore {
 ///  - `for_each_ordered` visits in ascending prefix order on *every* backend,
 ///    so observable side effects are backend-independent; plain `for_each`
 ///    may use whatever order the store is fastest at.
+///
+/// A cursor remembers the last prefix `find` / `find_or_create` resolved to
+/// a row, and that row, so the repeated lookups one update makes for the
+/// same prefix cost one compare instead of a hash or a trie walk. It is safe
+/// because the stores keep a row's address stable until that row is erased,
+/// and `erase` / `clear` forget the cursor. The const `find` reads the
+/// cursor but never writes it, so const reads stay write-free when another
+/// thread owns the table's writes. The null backend never remembers: its
+/// scratch slot must reset on every access.
 template <typename T>
 class RibTable {
  public:
@@ -285,16 +294,24 @@ class RibTable {
   bool retains() const { return kind_ != RibBackendKind::kNull; }
 
   T* find(Prefix p) {
-    return std::visit([&](auto& s) { return s.find(p); }, store_);
+    if (cursor_.holds(p)) return cursor_.row;
+    T* row = std::visit([&](auto& s) { return s.find(p); }, store_);
+    remember(p, row);
+    return row;
   }
   const T* find(Prefix p) const {
+    if (cursor_.holds(p)) return cursor_.row;
     return std::visit([&](const auto& s) { return s.find(p); }, store_);
   }
   T& find_or_create(Prefix p) {
-    return std::visit([&](auto& s) -> T& { return s.find_or_create(p); },
-                      store_);
+    if (cursor_.holds(p)) return *cursor_.row;
+    T& row = std::visit([&](auto& s) -> T& { return s.find_or_create(p); },
+                        store_);
+    remember(p, &row);
+    return row;
   }
   bool erase(Prefix p) {
+    cursor_.forget();
     return std::visit([&](auto& s) { return s.erase(p); }, store_);
   }
   /// Resident (retained) entries; always 0 on the null backend.
@@ -302,6 +319,7 @@ class RibTable {
     return std::visit([](const auto& s) { return s.size(); }, store_);
   }
   void clear() {
+    cursor_.forget();
     std::visit([](auto& s) { s.clear(); }, store_);
   }
 
@@ -338,8 +356,33 @@ class RibTable {
     return Store{std::in_place_type<detail::HashStore<T>>};
   }
 
+  /// The last prefix resolved to a row, and the row (none while `row` is
+  /// null). A moved table starts without one, and so does the table it was
+  /// moved from: the rows now belong to the other table.
+  struct Cursor {
+    Prefix key = 0;
+    T* row = nullptr;
+
+    Cursor() = default;
+    Cursor(Cursor&& other) noexcept { other.forget(); }
+    Cursor& operator=(Cursor&& other) noexcept {
+      forget();
+      other.forget();
+      return *this;
+    }
+    bool holds(Prefix p) const { return row != nullptr && key == p; }
+    void forget() { row = nullptr; }
+  };
+
+  void remember(Prefix p, T* row) {
+    if (row == nullptr || kind_ == RibBackendKind::kNull) return;
+    cursor_.key = p;
+    cursor_.row = row;
+  }
+
   RibBackendKind kind_;
   Store store_;
+  Cursor cursor_;
 };
 
 }  // namespace rfdnet::bgp

@@ -94,10 +94,16 @@ void BgpRouter::withdraw_origin(Prefix p, std::optional<rcn::RootCause> rc) {
 }
 
 void BgpRouter::deliver(net::NodeId from, const UpdateMessage& msg) {
-  sweep_reclaim();
   const int slot = peer_slot(from);
   if (slot < 0) throw std::logic_error("BgpRouter: update from non-peer");
-  if (observer_) observer_->on_deliver(from, id_, msg, engine_.now());
+  receive(slot, msg);
+}
+
+void BgpRouter::receive(int slot, const UpdateMessage& msg) {
+  sweep_reclaim();
+  if (observer_) {
+    observer_->on_deliver(peers_[slot].id, id_, msg, engine_.now());
+  }
 
   // Close the update's wire span at the delivery instant, then process under
   // it as the active context so derived spans parent on this hop.
@@ -508,7 +514,7 @@ void BgpRouter::try_flush_entry(OutEntry& oe, int slot, Prefix p) {
     trace_->bgp_send(now.as_seconds(), id_, peers_[slot].id, p, is_withdrawal);
   }
   if (observer_) observer_->on_send(id_, peers_[slot].id, msg, now);
-  send_(id_, peers_[slot].id, msg);
+  send_(slot, msg);
 }
 
 void BgpRouter::check_invariants() const {

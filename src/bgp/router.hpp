@@ -37,9 +37,9 @@ class BgpRouter {
     net::Relationship rel = net::Relationship::kPeer;
   };
 
-  /// Puts `msg` on the wire toward peer `to`. Provided by the network layer.
-  using SendFn =
-      std::function<void(net::NodeId from, net::NodeId to, const UpdateMessage&)>;
+  /// Puts `msg` on the wire toward the peer in slot `slot`. Provided by the
+  /// network layer, which binds one per router and so knows the sender.
+  using SendFn = std::function<void(int slot, const UpdateMessage&)>;
 
   BgpRouter(net::NodeId id, std::vector<PeerInfo> peers,
             const TimingConfig& cfg, const Policy& policy, sim::Engine& engine,
@@ -62,9 +62,10 @@ class BgpRouter {
   void withdraw_origin(Prefix p, std::optional<rcn::RootCause> rc = {});
   bool originates(Prefix p) const { return originated_.contains(p); }
 
-  /// Processes an update that has arrived from neighbor `from` (called by
-  /// the network layer at delivery time, after propagation + processing
-  /// delay).
+  /// Processes an update that has arrived on peer slot `slot` (called by the
+  /// network layer at delivery time, after propagation + processing delay).
+  void receive(int slot, const UpdateMessage& msg);
+  /// `receive` from neighbor `from`, resolving its slot first (tests).
   void deliver(net::NodeId from, const UpdateMessage& msg);
 
   /// The BGP session to peer `slot` went down (link failure): all routes

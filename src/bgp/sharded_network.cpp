@@ -65,6 +65,15 @@ ShardedBgpNetwork::ShardedBgpNetwork(const net::Graph& graph,
     router_rngs_.emplace_back(mix(seed ^ kRouterStream ^ u));
   }
 
+  // Router `u`'s peer slot `s` sends on wire `first_wire[u] + s`.
+  std::vector<std::uint32_t> first_wire;
+  std::uint32_t wire_count = 0;
+  first_wire.reserve(n);
+  for (net::NodeId u = 0; u < n; ++u) {
+    first_wire.push_back(wire_count);
+    wire_count += static_cast<std::uint32_t>(graph.degree(u));
+  }
+
   routers_.reserve(n);
   for (net::NodeId u = 0; u < n; ++u) {
     std::vector<BgpRouter::PeerInfo> peers;
@@ -77,8 +86,8 @@ ShardedBgpNetwork::ShardedBgpNetwork(const net::Graph& graph,
     PathTable::bind_local(tables_[static_cast<std::size_t>(s)].get());
     routers_.push_back(std::make_unique<BgpRouter>(
         u, std::move(peers), cfg, policy, engine_.shard(s), router_rngs_[u],
-        [this](net::NodeId from, net::NodeId to, const UpdateMessage& msg) {
-          transmit(from, to, msg);
+        [this, first = first_wire[u]](int slot, const UpdateMessage& msg) {
+          transmit(first + static_cast<std::uint32_t>(slot), msg);
         },
         observers.empty() ? nullptr : observers[static_cast<std::size_t>(s)],
         rib_backend));
@@ -88,17 +97,18 @@ ShardedBgpNetwork::ShardedBgpNetwork(const net::Graph& graph,
   // Directed wires in graph order: the index is a pure function of the
   // graph, so delivery keys and per-wire PRNG streams are identical for
   // every partition of it.
-  std::uint32_t idx = 0;
+  wires_.reserve(wire_count);
   for (net::NodeId u = 0; u < n; ++u) {
     for (const auto& e : graph.neighbors(u)) {
-      Wire w;
-      w.delay_s = e.delay_s;
+      const auto idx = static_cast<std::uint32_t>(wires_.size());
+      Wire& w = wires_.emplace_back();
+      w.from = u;
+      w.to = e.neighbor;
+      w.to_slot = routers_[e.neighbor]->peer_slot(u);
       w.dest_shard = shard_of(e.neighbor);
-      w.idx = idx;
+      w.delay_s = e.delay_s;
       w.clear = sim::SimTime::zero();
       w.rng = sim::Rng(mix(seed ^ kWireStream ^ idx));
-      wires_.emplace(directed_key(u, e.neighbor), w);
-      ++idx;
     }
   }
 }
@@ -112,10 +122,9 @@ sim::Duration ShardedBgpNetwork::conservative_lookahead() const {
                                 cfg_.proc_delay_min_s);
 }
 
-void ShardedBgpNetwork::transmit(net::NodeId from, net::NodeId to,
-                                 const UpdateMessage& msg) {
-  Wire& wire = wires_.find(directed_key(from, to))->second;
-  const int src = shard_of(from);
+void ShardedBgpNetwork::transmit(std::uint32_t w, const UpdateMessage& msg) {
+  Wire& wire = wires_[w];
+  const int src = shard_of(wire.from);
   sim::Engine& src_engine = engine_.shard(src);
 
   const double proc =
@@ -126,18 +135,17 @@ void ShardedBgpNetwork::transmit(net::NodeId from, net::NodeId to,
   // later update must never overtake an earlier one on the same session.
   if (when < wire.clear) when = wire.clear;
   wire.clear = when + sim::Duration::micros(1);
-  const std::uint64_t key = delivery_key(wire.idx, wire.seq++);
+  const std::uint64_t key = delivery_key(w, wire.seq++);
 
   if (wire.dest_shard == src) {
     UpdateMessagePool& pool = *pools_[static_cast<std::size_t>(src)];
     const std::uint32_t slot = pool.acquire();
     UpdateMessagePool::Slot& parked = pool.at(slot);
     parked.msg = msg;
-    parked.from = from;
-    parked.to = to;
+    parked.wire = w;
     src_engine.schedule_keyed(
         when, key, [this, src, slot] { deliver_pooled(src, slot); },
-        sim::EventKind::kDelivery, to);
+        sim::EventKind::kDelivery, wire.to);
     return;
   }
 
@@ -145,8 +153,7 @@ void ShardedBgpNetwork::transmit(net::NodeId from, net::NodeId to,
   // in the sender's table) and let the destination shard re-intern it. Span
   // freight is dropped — the sharded transport does not support tracing.
   Envelope env;
-  env.from = from;
-  env.to = to;
+  env.wire = w;
   env.prefix = msg.prefix;
   env.kind = msg.kind;
   if (msg.route) {
@@ -157,7 +164,7 @@ void ShardedBgpNetwork::transmit(net::NodeId from, net::NodeId to,
   env.rc = msg.rc;
   env.rel_pref = msg.rel_pref;
   engine_.post(
-      wire.dest_shard, when, key, to,
+      wire.dest_shard, when, key, wire.to,
       [this, env = std::move(env)] { deliver_cross(env); },
       sim::EventKind::kDelivery);
 }
@@ -165,8 +172,9 @@ void ShardedBgpNetwork::transmit(net::NodeId from, net::NodeId to,
 void ShardedBgpNetwork::deliver_pooled(int shard, std::uint32_t slot) {
   UpdateMessagePool& pool = *pools_[static_cast<std::size_t>(shard)];
   const UpdateMessagePool::Slot& parked = pool.at(slot);
+  const Wire& wire = wires_[parked.wire];
   ++delivered_[static_cast<std::size_t>(shard)].value;
-  routers_[parked.to]->deliver(parked.from, parked.msg);
+  routers_[wire.to]->receive(wire.to_slot, parked.msg);
   pool.release(slot);
 }
 
@@ -179,8 +187,10 @@ void ShardedBgpNetwork::deliver_cross(const Envelope& env) {
   }
   msg.rc = env.rc;
   msg.rel_pref = env.rel_pref;
-  ++delivered_[static_cast<std::size_t>(shard_of(env.to))].value;
-  routers_[env.to]->deliver(env.from, msg);
+  // Only the wire's fixed fields are read here, on the receiver's thread.
+  const Wire& wire = wires_[env.wire];
+  ++delivered_[static_cast<std::size_t>(wire.dest_shard)].value;
+  routers_[wire.to]->receive(wire.to_slot, msg);
 }
 
 std::uint64_t ShardedBgpNetwork::delivered_count() const {

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/config.hpp"
@@ -77,14 +76,19 @@ class ShardedBgpNetwork {
   bool none_reachable(Prefix p) const;
 
  private:
-  /// Per-directed-wire transport record, touched only by the sender's shard
-  /// thread. `idx` (graph-order wire index) keys the delivery's logical key
-  /// and the wire's PRNG stream; `clear` is the FIFO clamp; `seq` counts
-  /// messages for the key's low bits.
+  /// Per-directed-wire transport record. Wires sit in graph (adjacency)
+  /// order: router `u`'s peer slots send on consecutive wires, and the wire
+  /// index, a pure function of the graph, keys the delivery's logical key
+  /// and the wire's PRNG stream. The endpoints and the receiver's slot
+  /// for the sender are fixed at construction; `clear` (the FIFO clamp),
+  /// `seq` (messages so far, the key's low bits) and `rng` are touched only
+  /// by the sender's shard thread.
   struct Wire {
-    double delay_s = 0.0;
+    net::NodeId from = net::kInvalidNode;
+    net::NodeId to = net::kInvalidNode;
+    int to_slot = -1;  ///< slot of `from` at `to`
     int dest_shard = 0;
-    std::uint32_t idx = 0;
+    double delay_s = 0.0;
     std::uint32_t seq = 0;
     sim::SimTime clear;
     sim::Rng rng{0};
@@ -92,8 +96,7 @@ class ShardedBgpNetwork {
   /// A cross-shard update with its AS path materialized (handles don't
   /// survive table boundaries); re-interned at the destination.
   struct Envelope {
-    net::NodeId from = net::kInvalidNode;
-    net::NodeId to = net::kInvalidNode;
+    std::uint32_t wire = 0;
     Prefix prefix = 0;
     UpdateKind kind = UpdateKind::kAnnouncement;
     bool has_route = false;
@@ -103,13 +106,10 @@ class ShardedBgpNetwork {
     std::optional<RelPref> rel_pref;
   };
 
-  void transmit(net::NodeId from, net::NodeId to, const UpdateMessage& msg);
+  void transmit(std::uint32_t w, const UpdateMessage& msg);
   void deliver_pooled(int shard, std::uint32_t slot);
   void deliver_cross(const Envelope& env);
 
-  static std::uint64_t directed_key(net::NodeId u, net::NodeId v) {
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
   /// Delivery keys set bit 63, so at one instant per shard they sort after
   /// every router timer (auto keys, small prefixes) and driver event
   /// (bit 62) — the per-router interleaving a serial engine produces.
@@ -125,7 +125,7 @@ class ShardedBgpNetwork {
   std::vector<std::unique_ptr<PathTable>> tables_;  // one per shard
   std::deque<sim::Rng> router_rngs_;                // stable addresses
   std::vector<std::unique_ptr<BgpRouter>> routers_;
-  std::unordered_map<std::uint64_t, Wire> wires_;
+  std::vector<Wire> wires_;
   std::vector<std::unique_ptr<UpdateMessagePool>> pools_;  // one per shard
   /// Per-shard delivery counters, cache-line padded: each shard thread
   /// bumps only its own.

@@ -192,12 +192,14 @@ void Service::dispatcher_loop() {
     }
 
     std::vector<std::shared_ptr<const std::string>> results(batch.size());
-    std::vector<bool> ok(batch.size(), false);
+    // One byte per job, not vector<bool>: pool threads set these flags
+    // concurrently, and packed bits would share words between jobs.
+    std::vector<char> ok(batch.size(), 0);
     runner_->for_each(batch.size(), [&](std::size_t i) {
       try {
         results[i] = std::make_shared<const std::string>(
             "{\"ok\":true,\"payload\":" + run_(batch[i]->spec) + "}");
-        ok[i] = true;
+        ok[i] = 1;
       } catch (const std::exception& e) {
         results[i] = std::make_shared<const std::string>(
             error_response(500, std::string("job failed: ") + e.what()));

@@ -28,8 +28,8 @@ class MraiCancelTest : public ::testing::Test {
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
         cfg_, policy_, engine_, rng_,
-        [this](net::NodeId, net::NodeId to, const UpdateMessage& m) {
-          sent_.emplace_back(to, m, engine_.now());
+        [this](int slot, const UpdateMessage& m) {
+          sent_.emplace_back(router_->peer(slot).id, m, engine_.now());
         });
   }
 

@@ -25,8 +25,8 @@ class MraiTest : public ::testing::Test {
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
         cfg_, policy_, engine_, rng_,
-        [this](net::NodeId, net::NodeId to, const UpdateMessage& m) {
-          sent_.emplace_back(to, m, engine_.now());
+        [this](int slot, const UpdateMessage& m) {
+          sent_.emplace_back(router_->peer(slot).id, m, engine_.now());
         });
   }
 

@@ -129,13 +129,12 @@ TEST(UpdateMessagePool, RecycledSlotIsScrubbed) {
       rcn::RootCause{/*u=*/3, /*v=*/4, /*up=*/true, /*seq=*/1});
   slot.msg.rel_pref = RelPref::kWorse;
   slot.msg.span = obs::SpanContext{1, 2, 3};
-  slot.from = 3;
-  slot.to = 4;
+  slot.wire = 5;
   slot.epoch = 9;
   pool.release(idx);
 
   // The freelist hands the same slot back — pristine: no span, root cause,
-  // rel-pref or endpoint freight resurrected from the previous message.
+  // rel-pref or wire freight resurrected from the previous message.
   const std::uint32_t again = pool.acquire();
   ASSERT_EQ(again, idx);
   const UpdateMessagePool::Slot& s = pool.at(again);
@@ -143,8 +142,7 @@ TEST(UpdateMessagePool, RecycledSlotIsScrubbed) {
   EXPECT_FALSE(s.msg.rc.has_value());
   EXPECT_FALSE(s.msg.rel_pref.has_value());
   EXPECT_FALSE(s.msg.span.valid());
-  EXPECT_EQ(s.from, net::kInvalidNode);
-  EXPECT_EQ(s.to, net::kInvalidNode);
+  EXPECT_EQ(s.wire, UpdateMessagePool::kNoWire);
   EXPECT_EQ(s.epoch, 0u);
 
   const UpdateMessagePool::Stats& st = pool.stats();

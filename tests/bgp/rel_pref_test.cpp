@@ -20,8 +20,8 @@ class RelPrefTest : public ::testing::Test {
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
         cfg_, policy_, engine_, rng_,
-        [this](net::NodeId, net::NodeId to, const UpdateMessage& m) {
-          if (to == 2) sent_.push_back(m);
+        [this](int slot, const UpdateMessage& m) {
+          if (router_->peer(slot).id == 2) sent_.push_back(m);
         });
   }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,6 +100,99 @@ TEST_P(RetainingBackendTest, EraseToEmptyAndRefill) {
   EXPECT_EQ(*t.find(600), 2);
 }
 
+// The cursor contract: repeated lookups of one prefix may skip the store,
+// but never past an erase, a clear, a row's creation or a move.
+
+TEST_P(RetainingBackendTest, CursorForgetsErasedRow) {
+  RibTable<int> t(GetParam());
+  t.find_or_create(kKeys[4]) = 3;
+  ASSERT_NE(t.find(kKeys[4]), nullptr);
+  EXPECT_TRUE(t.erase(kKeys[4]));
+  EXPECT_EQ(t.find(kKeys[4]), nullptr);
+  EXPECT_EQ(std::as_const(t).find(kKeys[4]), nullptr);
+}
+
+TEST_P(RetainingBackendTest, FindOrCreateAfterEraseIsFresh) {
+  RibTable<std::vector<int>> t(GetParam());
+  t.find_or_create(kKeys[5]).push_back(9);
+  ASSERT_NE(t.find(kKeys[5]), nullptr);
+  EXPECT_TRUE(t.erase(kKeys[5]));
+  EXPECT_TRUE(t.find_or_create(kKeys[5]).empty());
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST_P(RetainingBackendTest, ClearForgetsCursor) {
+  RibTable<std::vector<int>> t(GetParam());
+  t.find_or_create(kKeys[6]).push_back(1);
+  ASSERT_NE(t.find(kKeys[6]), nullptr);
+  t.clear();
+  EXPECT_EQ(t.find(kKeys[6]), nullptr);
+  EXPECT_EQ(std::as_const(t).find(kKeys[6]), nullptr);
+  EXPECT_TRUE(t.find_or_create(kKeys[6]).empty());
+}
+
+TEST_P(RetainingBackendTest, AlternatingPrefixesReturnTheirOwnRows) {
+  RibTable<int> t(GetParam());
+  const Prefix a = kKeys[4];
+  const Prefix b = kKeys[5];  // same radix leaf as `a`
+  int* row_a = &t.find_or_create(a);
+  *row_a = 1;
+  int* row_b = &t.find_or_create(b);
+  *row_b = 2;
+  EXPECT_NE(row_a, row_b);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(t.find(a), row_a);
+    EXPECT_EQ(t.find(b), row_b);
+    EXPECT_EQ(t.find(a), row_a);
+    EXPECT_EQ(&t.find_or_create(b), row_b);
+    EXPECT_EQ(&t.find_or_create(a), row_a);
+    EXPECT_EQ(std::as_const(t).find(b), row_b);
+  }
+  EXPECT_EQ(*row_a, 1);
+  EXPECT_EQ(*row_b, 2);
+  EXPECT_EQ(t.size(), 2u);
+}
+
+TEST_P(RetainingBackendTest, ConstFindNeverChangesSize) {
+  RibTable<int> t(GetParam());
+  t.find_or_create(kKeys[0]) = 1;
+  // Lookups that miss create nothing, and a later creation is seen.
+  EXPECT_EQ(t.find(kKeys[1]), nullptr);
+  EXPECT_EQ(std::as_const(t).find(kKeys[1]), nullptr);
+  EXPECT_EQ(std::as_const(t).find(kKeys[2]), nullptr);
+  EXPECT_EQ(t.size(), 1u);
+  t.find_or_create(kKeys[1]) = 2;
+  EXPECT_EQ(t.size(), 2u);
+  ASSERT_NE(std::as_const(t).find(kKeys[1]), nullptr);
+  EXPECT_EQ(*std::as_const(t).find(kKeys[1]), 2);
+  EXPECT_EQ(t.size(), 2u);
+}
+
+TEST_P(RetainingBackendTest, MovedTableCarriesNoCursor) {
+  RibTable<int> a(GetParam());
+  a.find_or_create(kKeys[4]) = 1;
+  ASSERT_NE(a.find(kKeys[4]), nullptr);  // aims `a`'s cursor at the row
+
+  // The rows move with the store; the moved-from table (valid, if
+  // unspecified) must never hand out a row that now belongs to `b`.
+  RibTable<int> b(std::move(a));
+  const int* in_b = b.find(kKeys[4]);
+  ASSERT_NE(in_b, nullptr);
+  EXPECT_EQ(*in_b, 1);
+  EXPECT_NE(a.find(kKeys[4]), in_b);
+
+  // Move assignment: `c` drops its own rows (and its cursor into them), and
+  // `b` keeps no cursor into what `c` now owns.
+  RibTable<int> c(GetParam());
+  c.find_or_create(kKeys[4]) = 5;
+  ASSERT_NE(c.find(kKeys[4]), nullptr);
+  c = std::move(b);
+  const int* in_c = c.find(kKeys[4]);
+  ASSERT_NE(in_c, nullptr);
+  EXPECT_EQ(*in_c, 1);
+  EXPECT_NE(b.find(kKeys[4]), in_c);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, RetainingBackendTest,
                          ::testing::Values(RibBackendKind::kHashMap,
                                            RibBackendKind::kRadix),
@@ -124,6 +218,19 @@ TEST(NullBackendTest, ScratchSlotIsResetPerAccess) {
   t.find_or_create(1).push_back(5);
   // The next access must see a value-initialized T, not yesterday's scratch.
   EXPECT_TRUE(t.find_or_create(1).empty());
+}
+
+TEST(NullBackendTest, CursorNeverRemembersTheScratchSlot) {
+  RibTable<std::vector<int>> t(RibBackendKind::kNull);
+  t.find_or_create(1).push_back(5);
+  EXPECT_EQ(t.find(1), nullptr);
+  EXPECT_EQ(std::as_const(t).find(1), nullptr);
+  // Two find_or_create calls on one prefix: each gets a reset slot.
+  t.find_or_create(1).push_back(6);
+  EXPECT_TRUE(t.find_or_create(1).empty());
+  EXPECT_FALSE(t.erase(1));
+  EXPECT_EQ(t.find(1), nullptr);
+  EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(RibBackendKindTest, ParseAndToStringRoundTrip) {

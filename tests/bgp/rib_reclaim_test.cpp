@@ -33,7 +33,7 @@ class RibReclaimTest : public ::testing::TestWithParam<RibBackendKind> {
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
         cfg_, policy_, engine_, rng_,
-        [this](net::NodeId, net::NodeId, const UpdateMessage&) { ++sent_; },
+        [this](int, const UpdateMessage&) { ++sent_; },
         nullptr, GetParam());
   }
 
@@ -149,7 +149,7 @@ TEST(RibReclaimNullTest, NullBackendRetainsNothing) {
       5,
       std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                        {2, net::Relationship::kPeer}},
-      cfg, policy, engine, rng, [](net::NodeId, net::NodeId, const UpdateMessage&) {},
+      cfg, policy, engine, rng, [](int, const UpdateMessage&) {},
       nullptr, RibBackendKind::kNull);
   for (Prefix p = 0; p < 20; ++p) {
     router.deliver(1, UpdateMessage::announce(p, path1(1)));

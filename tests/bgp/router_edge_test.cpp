@@ -45,7 +45,7 @@ class RouterEdgeTest : public ::testing::Test {
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
         cfg_, policy_, engine_, rng_,
-        [this](net::NodeId, net::NodeId, const UpdateMessage&) { ++wire_; },
+        [this](int, const UpdateMessage&) { ++wire_; },
         &observer_);
   }
 

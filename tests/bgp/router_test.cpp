@@ -49,8 +49,9 @@ class RouterTest : public ::testing::Test {
     cfg_.mrai_jitter_max = 1.0;
     router_ = std::make_unique<BgpRouter>(
         id, std::move(peers), cfg_, policy_, engine_, rng_,
-        [this](net::NodeId from, net::NodeId to, const UpdateMessage& m) {
-          sent_.push_back(SentMsg{from, to, m, engine_.now()});
+        [this](int slot, const UpdateMessage& m) {
+          sent_.push_back(SentMsg{router_->id(), router_->peer(slot).id, m,
+                                  engine_.now()});
         });
   }
 
@@ -80,11 +81,11 @@ TEST_F(RouterTest, RejectsBadConstruction) {
   cfg_.mrai_jitter_min = 1.0;
   cfg_.mrai_jitter_max = 1.0;
   EXPECT_THROW(BgpRouter(1, {{1, net::Relationship::kPeer}}, cfg_, policy_,
-                         engine_, rng_, [](auto, auto, const auto&) {}),
+                         engine_, rng_, [](int, const UpdateMessage&) {}),
                std::invalid_argument);  // peer with self
   EXPECT_THROW(
       BgpRouter(1, {{2, net::Relationship::kPeer}, {2, net::Relationship::kPeer}},
-                cfg_, policy_, engine_, rng_, [](auto, auto, const auto&) {}),
+                cfg_, policy_, engine_, rng_, [](int, const UpdateMessage&) {}),
       std::invalid_argument);  // duplicate peer
   EXPECT_THROW(BgpRouter(1, {}, cfg_, policy_, engine_, rng_, nullptr),
                std::invalid_argument);  // no send fn
@@ -354,14 +355,14 @@ TEST_F(RouterTest, NoValleyExportFiltering) {
   cfg_.mrai_jitter_min = 1.0;
   cfg_.mrai_jitter_max = 1.0;
   // Node 0 with a provider (1), a peer (2) and a customer (3).
-  BgpRouter router(0,
-                   {{1, net::Relationship::kProvider},
-                    {2, net::Relationship::kPeer},
-                    {3, net::Relationship::kCustomer}},
-                   cfg_, policy, engine_, rng_,
-                   [this](net::NodeId from, net::NodeId to,
-                          const UpdateMessage& m) {
-                     sent_.push_back(SentMsg{from, to, m, engine_.now()});
+  const std::vector<BgpRouter::PeerInfo> peers = {
+      {1, net::Relationship::kProvider},
+      {2, net::Relationship::kPeer},
+      {3, net::Relationship::kCustomer}};
+  BgpRouter router(0, peers, cfg_, policy, engine_, rng_,
+                   [this, &peers](int slot, const UpdateMessage& m) {
+                     sent_.push_back(
+                         SentMsg{0, peers[slot].id, m, engine_.now()});
                    });
   // A provider route: export only to the customer.
   router.deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
@@ -379,13 +380,12 @@ TEST_F(RouterTest, ExportFlipRequiresWithdrawal) {
   NoValleyPolicy policy;
   cfg_.mrai_jitter_min = 1.0;
   cfg_.mrai_jitter_max = 1.0;
-  BgpRouter router(0,
-                   {{1, net::Relationship::kCustomer},
-                    {2, net::Relationship::kPeer}},
-                   cfg_, policy, engine_, rng_,
-                   [this](net::NodeId from, net::NodeId to,
-                          const UpdateMessage& m) {
-                     sent_.push_back(SentMsg{from, to, m, engine_.now()});
+  const std::vector<BgpRouter::PeerInfo> peers = {
+      {1, net::Relationship::kCustomer}, {2, net::Relationship::kPeer}};
+  BgpRouter router(0, peers, cfg_, policy, engine_, rng_,
+                   [this, &peers](int slot, const UpdateMessage& m) {
+                     sent_.push_back(
+                         SentMsg{0, peers[slot].id, m, engine_.now()});
                    });
   // Customer route: announced to the peer.
   router.deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));

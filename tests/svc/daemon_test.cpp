@@ -5,15 +5,20 @@
 
 #include "svc/daemon.hpp"
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,6 +87,62 @@ struct TestDaemon {
   bool started = false;
   std::thread serve_thread;
   int exit_code = -1;
+};
+
+/// Raw AF_UNIX connection for tests that control how request bytes are
+/// split into writes (svc::Client always sends whole lines).
+class RawConnection {
+ public:
+  explicit RawConnection(const std::string& path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof addr) == 0;
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool connected() const { return connected_; }
+
+  bool write(const std::string& bytes) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// The next response line (newline stripped), or nullopt once the daemon
+  /// has closed the connection.
+  std::optional<std::string> read_line() {
+    for (;;) {
+      const std::size_t newline = buffer_.find('\n');
+      if (newline != std::string::npos) {
+        std::string line = buffer_.substr(0, newline);
+        buffer_.erase(0, newline + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return std::nullopt;
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  std::string buffer_;
 };
 
 std::string roundtrip(Client& c, const std::string& req) {
@@ -224,6 +285,47 @@ TEST(SvcDaemon, MalformedLinesGetErrorResponsesNotDisconnects) {
   EXPECT_NE(roundtrip(c, "garbage").find("\"code\":400"), std::string::npos);
   // The connection survives a bad line; the next request still works.
   EXPECT_EQ(roundtrip(c, "{\"op\":\"ping\"}"), "{\"ok\":true,\"pong\":true}");
+}
+
+TEST(SvcDaemon, TwoRequestsInOneWriteAreAnsweredInOrder) {
+  TestDaemon d;
+  ASSERT_TRUE(d.started);
+  RawConnection c(d.cfg.socket_path);
+  ASSERT_TRUE(c.connected());
+  ASSERT_TRUE(c.write("{\"op\":\"ping\"}\n{\"op\":\"status\"}\n"));
+  EXPECT_EQ(c.read_line(), "{\"ok\":true,\"pong\":true}");
+  const std::optional<std::string> status = c.read_line();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_NE(status->find("\"jobs_accepted\":0"), std::string::npos) << *status;
+}
+
+TEST(SvcDaemon, RequestSplitOverManySmallWritesIsAnswered) {
+  TestDaemon d;
+  ASSERT_TRUE(d.started);
+  RawConnection c(d.cfg.socket_path);
+  ASSERT_TRUE(c.connected());
+  const std::string request = "{\"op\":\"ping\"}\n";
+  for (const char byte : request) {
+    ASSERT_TRUE(c.write(std::string(1, byte)));
+    std::this_thread::sleep_for(1ms);  // let the daemon see each fragment
+  }
+  EXPECT_EQ(c.read_line(), "{\"ok\":true,\"pong\":true}");
+}
+
+TEST(SvcDaemon, OverlongLineGetsA400AndTheConnectionCloses) {
+  TestDaemon d;
+  ASSERT_TRUE(d.started);
+  RawConnection c(d.cfg.socket_path);
+  ASSERT_TRUE(c.connected());
+  // One byte past the 4 MiB cap and no newline: the daemon reads it all,
+  // answers, and hangs up with nothing left unread.
+  ASSERT_TRUE(c.write(std::string((4u << 20) + 1, 'x')));
+  const std::optional<std::string> reply = c.read_line();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(reply->find("\"code\":400"), std::string::npos) << *reply;
+  EXPECT_NE(reply->find("request line exceeds 4 MiB"), std::string::npos)
+      << *reply;
+  EXPECT_EQ(c.read_line(), std::nullopt);
 }
 
 TEST(SvcDaemon, StartFailsOnOverlongSocketPath) {
