@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -20,6 +21,13 @@ struct Case {
   int pulses;
   double interval_s;
 };
+
+// Prints a case by its flap pattern. gtest's fallback would dump Case's raw
+// bytes, which start with the address of `name`; under ASLR that address
+// changes from run to run, and so did the ctest names discovered from it.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "n=" << c.pulses << ", interval=" << c.interval_s << "s";
+}
 
 class AgreementProperty : public ::testing::TestWithParam<Case> {};
 
