@@ -124,19 +124,40 @@ std::vector<std::string> compute_golden() {
     lines.push_back(golden_line("scorecard.s1", bytes, report.checks.size(),
                                 report.failed()));
   }
-  for (const bgp::RibBackendKind kind :
-       {bgp::RibBackendKind::kHashMap, bgp::RibBackendKind::kRadix}) {
+  {
+    // `micro_shard --scorecard`: the 208-node Internet experiment that bench
+    // binary checks for shard-count invariance.
+    ExperimentConfig cfg;
+    cfg.topology.kind = TopologySpec::Kind::kInternetLike;
+    cfg.topology.nodes = 208;
+    cfg.pulses = 2;
+    cfg.seed = 7;
+    cfg.record_all_penalties = true;
+    cfg.record_update_log = true;
+    const ShardedExperimentResult r = run_sharded_experiment(cfg, 1);
+    lines.push_back(golden_line("micro_shard.internet.n208.s7", r.scorecard(),
+                                r.base.message_count,
+                                r.base.suppress_events));
+  }
+  const auto full_table_line = [&lines](std::size_t prefixes,
+                                        std::uint64_t events,
+                                        bgp::RibBackendKind kind) {
     FullTableConfig cfg;
-    cfg.prefixes = 2000;
-    cfg.events = 4000;
+    cfg.prefixes = prefixes;
+    cfg.events = events;
     cfg.rib_backend = kind;
     FullTableResult r = run_full_table(cfg);
     lines.push_back(golden_line(
-        "full_table.p2000." + bgp::to_string(kind), r.scorecard(),
-        r.updates_delivered,
+        "full_table.p" + std::to_string(prefixes) + "." + bgp::to_string(kind),
+        r.scorecard(), r.updates_delivered,
         static_cast<std::uint64_t>(
             r.metrics.counter("rfd.suppressions").value())));
-  }
+  };
+  full_table_line(2000, 4000, bgp::RibBackendKind::kHashMap);
+  full_table_line(2000, 4000, bgp::RibBackendKind::kRadix);
+  // `ext_full_table --prefixes 20000 --events 20000`, the bench tier's
+  // full-table scorecard.
+  full_table_line(20000, 20000, bgp::RibBackendKind::kHashMap);
   return lines;
 }
 
