@@ -70,9 +70,8 @@ int main(int argc, char** argv) {
   cfg.seed = args.get_u64("seed", 1);
   cfg.samples = static_cast<std::size_t>(args.get_u64("samples", 64));
   cfg.cooldown_s = args.get_double("cooldown", 120.0);
-  // 0 = classic serial driver; >= 1 runs the sharded driver (byte-identical
-  // scorecards for every shard count, but a different sampling scheme than
-  // serial — don't mix serial and sharded scorecards).
+  // Shards the line is cut into; 0 and 1 both run one shard on the calling
+  // thread, and the scorecard is byte-identical at every shard count.
   cfg.shards = args.get_int("shards", 0);
   // Streaming train analytics shard cleanly, so --stability composes with
   // --shards (unlike --trace / --profile).

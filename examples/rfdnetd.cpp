@@ -14,8 +14,8 @@
 //
 //   $ ./rfdnetd --ctl --socket /tmp/rfdnet.sock --ping
 //   $ ./rfdnetd --ctl --socket /tmp/rfdnet.sock --status
-//   $ ./rfdnetd --ctl --socket /tmp/rfdnet.sock \
-//       --request '{"op":"run","job":{"pulses":2,"outputs":["scorecard"]}}'
+//   $ JOB='{"op":"run","job":{"pulses":2,"outputs":["scorecard"]}}'
+//   $ ./rfdnetd --ctl --socket /tmp/rfdnet.sock --request "$JOB"
 //   $ ./rfdnetd --ctl --socket /tmp/rfdnet.sock --request-file job.json
 //   $ ./rfdnetd --ctl --socket /tmp/rfdnet.sock --shutdown
 //

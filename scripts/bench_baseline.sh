@@ -9,8 +9,7 @@
 #     "micro_propagation": { "<benchmark>": {"real_time_ns": ..., ...}, ... },
 #     "micro_shard": { "<benchmark>": {"real_time_ns": ..., ...}, ... },
 #     "fig07": { "wall_s": ..., "profile": { "<kind>": {counts...}, ... } },
-#     "ext_full_table": { "wall_s": ..., "scorecard": {...} },
-#     "micro_shard_scorecard": { "wall_s": ..., "scorecard": {...} }
+#     "ext_full_table": { "wall_s": ... }
 #   }
 #
 # The micro_propagation section includes the BM_Propagation*Stability twins
@@ -21,10 +20,11 @@
 # the current run.
 #
 # The micro_engine numbers are wall-clock and vary with the machine; the
-# fig07 profile counts and the ext_full_table scorecard are byte-
-# deterministic (pure functions of the event sequence / seed), so a change
-# in a diff of two baselines means the workload itself changed, not the
-# hardware.
+# fig07 profile counts are byte-deterministic (pure functions of the event
+# sequence), so a change in a diff of two baselines means the workload
+# itself changed, not the hardware. The deterministic scorecards of
+# ext_full_table and micro_shard --scorecard are pinned as golden lines in
+# tests/golden/artifacts.txt instead.
 #
 # Usage: scripts/bench_baseline.sh [OUT.json]
 #   default OUT: BENCH_<today>.json in the repo root. Compare against the
@@ -55,11 +55,6 @@ echo "running micro_shard (1/2/4/8 shards)..." >&2
 ./build/bench/micro_shard --benchmark_format=json \
   >"$TMP/micro_shard.json" 2>/dev/null
 
-echo "running micro_shard --scorecard (serial-vs-sharded identity)..." >&2
-SHARD_START=$(date +%s.%N)
-./build/bench/micro_shard --scorecard >"$TMP/shard_scorecard.json"
-SHARD_END=$(date +%s.%N)
-
 echo "running fig07_secondary_charging (profiled)..." >&2
 FIG07_START=$(date +%s.%N)
 ./build/bench/fig07_secondary_charging --profile "$TMP/fig07_profile.json" \
@@ -68,21 +63,17 @@ FIG07_END=$(date +%s.%N)
 
 echo "running ext_full_table (hash+radix cross-check)..." >&2
 FT_START=$(date +%s.%N)
-./build/bench/ext_full_table --prefixes 20000 --events 20000 \
-  --json "$TMP/full_table_scorecard.json" >/dev/null
+./build/bench/ext_full_table --prefixes 20000 --events 20000 >/dev/null
 FT_END=$(date +%s.%N)
 
 python3 - "$TMP/micro.json" "$TMP/micro_prop.json" "$TMP/fig07_profile.json" \
-  "$OUT" "$(date +%F)" "$FIG07_START" "$FIG07_END" \
-  "$TMP/full_table_scorecard.json" "$FT_START" "$FT_END" \
-  "$TMP/micro_shard.json" "$TMP/shard_scorecard.json" \
-  "$SHARD_START" "$SHARD_END" <<'PY'
+  "$OUT" "$(date +%F)" "$FIG07_START" "$FIG07_END" "$FT_START" "$FT_END" \
+  "$TMP/micro_shard.json" <<'PY'
 import json
 import sys
 
 micro_path, prop_path, profile_path, out_path, date, t0, t1 = sys.argv[1:8]
-ft_path, ft0, ft1 = sys.argv[8:11]
-shard_path, shard_card_path, st0, st1 = sys.argv[11:15]
+ft0, ft1, shard_path = sys.argv[8:11]
 
 with open(micro_path) as f:
     micro = json.load(f)
@@ -90,12 +81,8 @@ with open(prop_path) as f:
     prop = json.load(f)
 with open(profile_path) as f:
     profile = json.load(f)
-with open(ft_path) as f:
-    ft_scorecard = json.load(f)
 with open(shard_path) as f:
     shard = json.load(f)
-with open(shard_card_path) as f:
-    shard_scorecard = json.load(f)
 
 
 def flatten(report):
@@ -124,15 +111,8 @@ out = {
     },
     "ext_full_table": {
         # Wall time covers the hash + radix + null runs plus the scorecard
-        # cross-check; the scorecard itself is the deterministic artifact.
+        # cross-check.
         "wall_s": round(float(ft1) - float(ft0), 3),
-        "scorecard": ft_scorecard,
-    },
-    "micro_shard_scorecard": {
-        # Serial-vs-sharded byte-identity on the 208-node experiment at
-        # shards 1/2/4 — deterministic like the full-table scorecard.
-        "wall_s": round(float(st1) - float(st0), 3),
-        "scorecard": shard_scorecard,
     },
 }
 with open(out_path, "w") as f:

@@ -4,10 +4,9 @@
 
 namespace rfdnet::core {
 
-/// Shared config-validation helpers for the cross-cutting observability
-/// knobs, used by every driver (`run_experiment`, `ShardedRunner`,
-/// `FullTableConfig::validate`). One implementation, one message shape —
-/// `"<who>: ..."` — so the per-driver copies cannot drift.
+/// Config-validation helpers for the cross-cutting observability knobs,
+/// shared by `ExperimentConfig::validate` and `FullTableConfig::validate`.
+/// One implementation, one message shape — `"<who>: ..."`.
 
 /// `stability_gap_s` must be strictly positive (and finite) whenever
 /// stability collection is on; throws `std::invalid_argument` with

@@ -180,6 +180,12 @@ struct ExperimentConfig {
   /// time watermark, events/s, per-shard barrier stats) to stderr. Volatile
   /// by construction — never part of a deterministic artifact.
   double heartbeat_s = 0.0;
+
+  /// Throws `std::invalid_argument` for a value no driver can run. What
+  /// needs the graph (a connected topology, the isp and `flap_link`) is
+  /// checked as soon as the graph is built, still before anything is
+  /// simulated.
+  void validate() const;
 };
 
 /// Everything the figures/tables consume, with all times re-based so that

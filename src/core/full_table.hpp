@@ -47,8 +47,7 @@ struct FullTableConfig {
   std::size_t samples = 64;
 
   /// Streaming update-train analytics over every directed (from, to, prefix)
-  /// stream (`obs::StabilityTracker`). Legal in both the serial and the
-  /// sharded driver — per-shard trackers merge exactly — and fills
+  /// stream (`obs::StabilityTracker`): per-shard trackers merge exactly into
   /// `FullTableResult::stability` plus the `stability.*` metric bundle.
   bool collect_stability = false;
   /// Quiet-gap threshold of the train detectors (seconds, > 0).
@@ -57,20 +56,18 @@ struct FullTableConfig {
   double cooldown_s = 120.0;
 
   /// > 0 samples counters and residency probes every `telemetry_period_s`
-  /// simulated seconds into `FullTableResult::telemetry_jsonl`. Legal in
-  /// both the serial and the sharded driver: the sampled series hold only
-  /// logical figures, so they are byte-identical across shard counts.
+  /// simulated seconds into `FullTableResult::telemetry_jsonl`. The sampled
+  /// series hold only logical figures, so they are byte-identical across
+  /// shard counts.
   double telemetry_period_s = 0.0;
   /// > 0 prints a wall-clock progress heartbeat to stderr roughly every
   /// `heartbeat_s` real seconds. Volatile; never part of any artifact.
   double heartbeat_s = 0.0;
 
-  /// 0 = the classic serial driver. >= 1 dispatches to
-  /// `run_full_table_sharded`: the line is partitioned into that many shards
-  /// (clamped to the router count) under conservative-lookahead barriers.
-  /// Sharded scorecards are byte-identical across shard counts but use a
-  /// different residency-sampling scheme than the serial driver, so serial
-  /// (0) and sharded (>= 1) scorecards are not comparable to each other.
+  /// Shards the line is partitioned into (clamped to the router count),
+  /// run under conservative-lookahead barriers; 0 and 1 both run one shard
+  /// on the calling thread. Every artifact — scorecard, metrics, telemetry,
+  /// stability — is byte-identical at every shard count.
   int shards = 0;
 
   void validate() const;
@@ -83,9 +80,11 @@ struct FullTableResult {
   double sim_duration_s = 0.0;          ///< simulated churn + cooldown span
   bool hit_horizon = false;             ///< events still pending at the end
 
-  /// Resident per-prefix rows summed over all routers, sampled during churn
-  /// (peak) and after cooldown (final). The bugfix keeps `final` at the
-  /// reachable-prefix baseline instead of everything-ever-heard.
+  /// Resident per-prefix rows summed over all routers, sampled at `samples`
+  /// fixed instants across the toggle stream and after cooldown (final);
+  /// `peak` is the largest of those sums. The reclamation bugfix keeps
+  /// `final` at the reachable-prefix baseline instead of
+  /// everything-ever-heard.
   std::size_t peak_rib_resident = 0;
   std::size_t final_rib_resident = 0;
   /// Damping entry-store rows (tracked) and live-penalty entries (active,
@@ -95,11 +94,11 @@ struct FullTableResult {
   std::size_t peak_damping_active = 0;
   std::size_t final_damping_active = 0;
 
-  /// Router + damping bundles plus the residency gauges, for the whole run.
-  /// Sharded runs carry the logical-counter subset of those bundles
-  /// (`bind_logical`, exact per-shard sums) plus `stability.*` when
-  /// requested — the remaining gauges are partition-dependent and stay
-  /// serial-only.
+  /// The logical counters of the router and damping bundles for the whole
+  /// run (`bind_logical`, exact per-shard sums), the six residency gauges
+  /// (`bgp.rib_resident`, `rfd.tracked_entries`, `rfd.active_entries` and
+  /// their `_peak` twins, mirroring the fields above), plus `stability.*`
+  /// when requested.
   obs::Registry metrics;
 
   /// Streaming update-train report for the whole run; nullopt unless
@@ -115,8 +114,8 @@ struct FullTableResult {
   std::string telemetry_summary;
 
   /// Wall-clock seconds of the churn phase and the derived throughput
-  /// (delivered updates per second per core; single-threaded driver).
-  /// Volatile: excluded from the scorecard.
+  /// (delivered updates per wall-clock second). Volatile: excluded from the
+  /// scorecard.
   double wall_s = 0.0;
   double updates_per_core_sec = 0.0;
 
@@ -126,7 +125,9 @@ struct FullTableResult {
   std::string scorecard() const;
 };
 
-/// Runs the workload. Deterministic for a given config; single-threaded.
+/// Runs the workload on `cfg.shards` shards (one thread each; 0 and 1 run on
+/// the calling thread). Deterministic for a given config, and the same
+/// result at every shard count.
 FullTableResult run_full_table(const FullTableConfig& cfg);
 
 }  // namespace rfdnet::core

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "core/experiment.hpp"
-#include "core/full_table.hpp"
 #include "net/partition.hpp"
 #include "sim/sharded_engine.hpp"
 
@@ -34,8 +33,9 @@ struct ShardedExperimentResult {
 };
 
 /// Runs one experiment sharded across `shards` cores (clamped to the node
-/// count; 1 = serial fallback on the calling thread). The graph, workload
-/// and PRNG sub-seeding are identical for every shard count.
+/// count; 1 = one shard on the calling thread). The world, workload and
+/// PRNG sub-seeding are the serial driver's; the per-shard streams merge
+/// into one result that is byte-identical at every shard count.
 ///
 /// Narrower than `run_experiment`: configs asking for link-session flaps,
 /// fault injection, tracing/spans or profiling are rejected with
@@ -46,38 +46,10 @@ struct ShardedExperimentResult {
 /// bundles plus sim-time telemetry (`collect_metrics` /
 /// `telemetry_period_s`) — per-shard integer accumulators that merge
 /// exactly. The partition-dependent remainder of the metric bundles
-/// (heap/live/pending gauges, the penalty histogram, gauge high-water
-/// marks) is never bound here, so a sharded `--metrics` registry holds
-/// strictly fewer figures than a serial one.
-class ShardedRunner {
- public:
-  ShardedRunner(ExperimentConfig cfg, int shards);
-
-  /// Validates, builds, warms up, flaps, merges. Callable once per runner.
-  ShardedExperimentResult run();
-
- private:
-  ExperimentConfig cfg_;
-  int shards_;
-};
-
-inline ShardedExperimentResult run_sharded_experiment(
-    const ExperimentConfig& cfg, int shards) {
-  return ShardedRunner(cfg, shards).run();
-}
-
-/// Sharded twin of `run_full_table` (invoked by it when
-/// `FullTableConfig::shards >= 1`): the line topology is partitioned into
-/// contiguous blocks, residency is sampled by per-shard events at fixed
-/// simulated instants (summed per sample point, so the peak/final figures
-/// are shard-count-invariant), and the metrics registry carries the
-/// logical-counter subset of the router/damping bundles plus the
-/// `stability.*` bundle when `collect_stability` is set (gauge high-water
-/// marks are partition-dependent and stay serial-only). Telemetry
-/// (`telemetry_period_s`) samples per-shard at barrier-aligned grid
-/// instants and merges exactly, minus the `engine.*` series — the
-/// pre-scheduled residency events make even fired-event counts
-/// partition-dependent on this workload.
-FullTableResult run_full_table_sharded(const FullTableConfig& cfg);
+/// (heap/live/pending gauges, the penalty histogram, the residency gauges)
+/// is never bound here, so a sharded `--metrics` registry holds strictly
+/// fewer figures than a serial one.
+ShardedExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
+                                               int shards);
 
 }  // namespace rfdnet::core

@@ -222,8 +222,6 @@ RouterMetrics RouterMetrics::bind_logical(Registry& r) {
 RouterMetrics RouterMetrics::bind(Registry& r) {
   RouterMetrics m = bind_logical(r);
   m.pending = &r.gauge("bgp.pending");
-  m.rib_resident = &r.gauge("bgp.rib_resident");
-  m.rib_resident_peak = &r.gauge("bgp.rib_resident_peak");
   return m;
 }
 
@@ -239,6 +237,13 @@ DampingMetrics DampingMetrics::bind_logical(Registry& r) {
 DampingMetrics DampingMetrics::bind(Registry& r) {
   DampingMetrics m = bind_logical(r);
   m.penalty = &r.histogram("rfd.penalty");
+  return m;
+}
+
+ResidencyMetrics ResidencyMetrics::bind(Registry& r) {
+  ResidencyMetrics m;
+  m.rib = &r.gauge("bgp.rib_resident");
+  m.rib_peak = &r.gauge("bgp.rib_resident_peak");
   m.tracked = &r.gauge("rfd.tracked_entries");
   m.tracked_peak = &r.gauge("rfd.tracked_entries_peak");
   m.active = &r.gauge("rfd.active_entries");

@@ -149,9 +149,9 @@ struct EngineMetrics {
 ///
 /// `sends`/`withdrawals`/`mrai_deferrals` are logical counters (each wire
 /// event counted on exactly one router, hence one shard) and merge exactly
-/// across shard counts; the gauges record instantaneous levels whose
-/// high-water marks depend on the partition, so `bind_logical` leaves them
-/// null and the router null-checks `pending` on the hot path.
+/// across shard counts; the pending gauge records an instantaneous level
+/// whose high-water mark depends on the partition, so `bind_logical` leaves
+/// it null and the router null-checks it on the hot path.
 struct RouterMetrics {
   // Logical, shard-mergeable.
   Counter* sends = nullptr;           ///< updates put on the wire
@@ -159,16 +159,9 @@ struct RouterMetrics {
   Counter* mrai_deferrals = nullptr;  ///< flush attempts blocked by MRAI
   // Partition-dependent (serial-only).
   Gauge* pending = nullptr;           ///< updates held back (pending depth)
-  /// Resident per-prefix RIB rows (RIB-IN + Loc-RIB + RIB-OUT) summed over
-  /// all routers sharing the bundle. Sampled by the driver at reporting
-  /// cadence, not maintained on the hot path; `rib_resident_peak` holds the
-  /// true in-run peak recovered from the telemetry sampler grid (the plain
-  /// gauge's own max only sees the instants the driver happened to set it).
-  Gauge* rib_resident = nullptr;
-  Gauge* rib_resident_peak = nullptr;
 
   static RouterMetrics bind(Registry& r);
-  /// Logical counters only; the gauges stay null.
+  /// Logical counters only; the gauge stays null.
   static RouterMetrics bind_logical(Registry& r);
 };
 
@@ -176,10 +169,9 @@ struct RouterMetrics {
 ///
 /// The counters are logical (each damping event happens on exactly one
 /// module, hence one shard) and merge exactly; the penalty histogram sums
-/// doubles in observation order (order-dependent across partitions) and the
-/// occupancy gauges' high-water marks depend on the partition, so
-/// `bind_logical` leaves both null and the module null-checks `penalty` on
-/// the hot path.
+/// doubles in observation order (order-dependent across partitions), so
+/// `bind_logical` leaves it null and the module null-checks it on the hot
+/// path.
 struct DampingMetrics {
   // Logical, shard-mergeable.
   Counter* charges = nullptr;       ///< penalty increments actually applied
@@ -188,18 +180,27 @@ struct DampingMetrics {
   Counter* reschedules = nullptr;   ///< reuse timers cancelled + moved out
   // Partition-dependent (serial-only).
   Histogram* penalty = nullptr;     ///< post-charge penalty values
-  /// Entry-store rows / live-penalty entries summed over all modules sharing
-  /// the bundle (the latter is what the RFC 2439 memory limit bounds).
-  /// Sampled by the driver at reporting cadence; the `*_peak` twins hold
-  /// true in-run peaks recovered from the telemetry sampler grid.
+
+  static DampingMetrics bind(Registry& r);
+  /// Logical counters only; the histogram stays null.
+  static DampingMetrics bind_logical(Registry& r);
+};
+
+/// Residency gauges, set by the drivers from their own samples rather than
+/// on the hot path: resident per-prefix RIB rows (RIB-IN + Loc-RIB +
+/// RIB-OUT) over all routers, damping entry-store rows (`tracked`) and
+/// live-penalty entries (`active`, what the RFC 2439 memory limit bounds)
+/// over all damping modules. Each has a `_peak` twin holding the in-run
+/// high-water mark the driver sampled.
+struct ResidencyMetrics {
+  Gauge* rib = nullptr;
+  Gauge* rib_peak = nullptr;
   Gauge* tracked = nullptr;
   Gauge* tracked_peak = nullptr;
   Gauge* active = nullptr;
   Gauge* active_peak = nullptr;
 
-  static DampingMetrics bind(Registry& r);
-  /// Logical counters only; histogram and gauges stay null.
-  static DampingMetrics bind_logical(Registry& r);
+  static ResidencyMetrics bind(Registry& r);
 };
 
 /// Typed wiring bundle for the damping-phase timeline recorder (one per

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/intended.hpp"
+#include "core/sharded.hpp"
 #include "core/sweep.hpp"
 
 namespace rfdnet::core {
@@ -259,6 +260,23 @@ TEST(Experiment, FlapJitterValidation) {
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
   cfg.flap_jitter = -0.1;
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+TEST(Experiment, BadFlapValuesAreRejectedBeforeTheWarmUp) {
+  // The warm-up cannot converge in 1 ms, so a driver that simulated before
+  // validating would report the warm-up failure instead of the bad value.
+  ExperimentConfig base;
+  base.topology.kind = TopologySpec::Kind::kMeshTorus;
+  base.max_sim_s = 0.001;
+  ExperimentConfig bad_link = base;
+  bad_link.flap_link = std::pair<net::NodeId, net::NodeId>{0, 55};
+  ExperimentConfig bad_jitter = base;
+  bad_jitter.flap_jitter = 1.5;
+  for (const ExperimentConfig& cfg : {bad_link, bad_jitter}) {
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+    EXPECT_THROW(run_sharded_experiment(cfg, 1), std::invalid_argument);
+    EXPECT_THROW(run_sharded_experiment(cfg, 2), std::invalid_argument);
+  }
 }
 
 TEST(Experiment, NoValleyPolicyRuns) {

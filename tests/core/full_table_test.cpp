@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace rfdnet::core {
 namespace {
@@ -115,6 +116,35 @@ TEST(FullTable, NullBackendRetainsNothing) {
   EXPECT_EQ(res.peak_rib_resident, 0u);
   EXPECT_EQ(res.final_rib_resident, 0u);
   EXPECT_EQ(res.final_damping_tracked, 0u);
+}
+
+TEST(FullTable, ResidencyGaugesMirrorTheResultAtEveryShardCount) {
+  for (const int shards : {0, 1, 2, 4}) {
+    FullTableConfig cfg = small_config();
+    cfg.routers = 4;
+    cfg.shards = shards;
+    FullTableResult res = run_full_table(cfg);
+    const std::string json = res.metrics.json();
+    const auto gauge = [&res](const std::string& name) {
+      return static_cast<std::size_t>(res.metrics.gauge(name).value());
+    };
+    for (const char* name :
+         {"bgp.rib_resident", "bgp.rib_resident_peak", "rfd.tracked_entries",
+          "rfd.tracked_entries_peak", "rfd.active_entries",
+          "rfd.active_entries_peak"}) {
+      EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
+          << name << " missing at shards=" << shards;
+    }
+    EXPECT_EQ(gauge("bgp.rib_resident"), res.final_rib_resident);
+    EXPECT_EQ(gauge("bgp.rib_resident_peak"), res.peak_rib_resident);
+    EXPECT_EQ(gauge("rfd.tracked_entries"), res.final_damping_tracked);
+    EXPECT_EQ(gauge("rfd.tracked_entries_peak"), res.peak_damping_tracked);
+    EXPECT_EQ(gauge("rfd.active_entries"), res.final_damping_active);
+    EXPECT_EQ(gauge("rfd.active_entries_peak"), res.peak_damping_active);
+    // The two partition-dependent figures stay out of the registry.
+    EXPECT_EQ(json.find("bgp.pending"), std::string::npos);
+    EXPECT_EQ(json.find("rfd.penalty"), std::string::npos);
+  }
 }
 
 TEST(FullTable, ZeroEventsIsAWarmupOnlyRun) {

@@ -1,6 +1,7 @@
-// Serial-vs-sharded determinism suite: the scorecard of a sharded run must
-// be byte-identical for every shard count — same seed, same topology, same
-// RIB backend, shards 1/2/4. Runs under the plain, ASan and TSan legs of
+// Shard-count determinism suite: the scorecard of a sharded run must be
+// byte-identical for every shard count — same seed, same topology, same RIB
+// backend, shards 1/2/4 (and 0 for the full-table driver, which runs it on
+// one shard). Runs under the plain, ASan and TSan legs of
 // scripts/check.sh (the TSan leg selects tests matching "ShardedDeterminism",
 // which also makes the barrier/inbox synchronization race-checked under the
 // real workload).
@@ -72,13 +73,13 @@ TEST(ShardedDeterminism, RadixBackendIsAlsoInvariant) {
 }
 
 TEST(ShardedDeterminism, FullTableScorecardsAreShardCountInvariant) {
-  // Both retaining backends, shards 1/2/4: all six scorecards must be one
-  // byte string (the hash==radix agreement is the pre-existing serial
-  // contract; sharding must not break it at any k).
+  // Both retaining backends, shards 0/1/2/4: all eight scorecards must be
+  // one byte string — one full-table answer at every shard count, and hash
+  // and radix storage agreeing at each.
   std::string first;
   for (const auto backend :
        {bgp::RibBackendKind::kHashMap, bgp::RibBackendKind::kRadix}) {
-    for (const int shards : {1, 2, 4}) {
+    for (const int shards : {0, 1, 2, 4}) {
       FullTableConfig cfg;
       cfg.prefixes = 300;
       cfg.events = 600;
@@ -303,7 +304,7 @@ TEST(ShardedDeterminism, TelemetryFullTableIsShardCountInvariant) {
   std::string jsonl;
   std::string summary;
   std::string metrics_json;
-  for (const int shards : {1, 2, 4}) {
+  for (const int shards : {0, 1, 2, 4}) {
     FullTableConfig cfg;
     cfg.prefixes = 300;
     cfg.events = 600;
@@ -319,8 +320,8 @@ TEST(ShardedDeterminism, TelemetryFullTableIsShardCountInvariant) {
       jsonl = res.telemetry_jsonl;
       summary = res.telemetry_summary;
       metrics_json = res.metrics.json();
-      // Full-table sharding pre-schedules per-shard residency events, so no
-      // engine.* series is shard-legal here.
+      // The full-table driver pre-schedules per-shard residency events, so
+      // no engine.* series is shard-legal here.
       EXPECT_EQ(jsonl.find("engine."), std::string::npos);
       EXPECT_NE(jsonl.find("\"bgp.rib_resident\""), std::string::npos);
     } else {
@@ -336,7 +337,7 @@ TEST(ShardedDeterminism, TelemetryFullTableIsShardCountInvariant) {
 
 TEST(ShardedDeterminism, StabilityFullTableScorecardsAreShardCountInvariant) {
   std::string first;
-  for (const int shards : {1, 2, 4}) {
+  for (const int shards : {0, 1, 2, 4}) {
     FullTableConfig cfg;
     cfg.prefixes = 300;
     cfg.events = 600;

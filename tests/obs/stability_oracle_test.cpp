@@ -19,6 +19,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -205,6 +206,14 @@ struct OracleCase {
   std::uint64_t seed;
   double gap_s;
 };
+
+// Prints a case by its workload. gtest's fallback would dump the raw bytes,
+// which start with the address of `name`, so the ctest names discovered from
+// them changed from run to run under ASLR.
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << "pulses=" << c.pulses << ", storm=" << c.storm_rate
+      << ", seed=" << c.seed << ", gap=" << c.gap_s << "s";
+}
 
 std::string case_name(const ::testing::TestParamInfo<OracleCase>& info) {
   return std::string(info.param.name) + "_seed" +

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -155,6 +156,14 @@ struct OracleCase {
   double storm_rate;  // > 0 attaches a Poisson fault storm
   std::uint64_t seed;
 };
+
+// Prints a case by its workload. gtest's fallback would dump the raw bytes,
+// which start with the address of `name`, so the ctest names discovered from
+// them changed from run to run under ASLR.
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << "pulses=" << c.pulses << ", storm=" << c.storm_rate
+      << ", seed=" << c.seed;
+}
 
 std::string case_name(const ::testing::TestParamInfo<OracleCase>& info) {
   return std::string(info.param.name) + "_seed" +

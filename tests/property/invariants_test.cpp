@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "bgp/network.hpp"
@@ -26,6 +27,13 @@ struct TopoCase {
   int a = 0, b = 0;  // dims or node count
   const char* name;
 };
+
+// Prints a case by its shape. gtest's fallback would dump the raw bytes,
+// padding and the address of `name` included, so the ctest names discovered
+// from them changed from run to run.
+void PrintTo(const TopoCase& c, std::ostream* os) {
+  *os << c.name << " a=" << c.a << " b=" << c.b;
+}
 
 class ConvergenceProperty
     : public ::testing::TestWithParam<std::tuple<TopoCase, std::uint64_t>> {};

@@ -25,7 +25,9 @@ TEST(ZipfSampler, ProbabilitiesSumToOneAndAreMonotone) {
   for (std::size_t k = 0; k < z.size(); ++k) {
     const double p = z.probability(k);
     EXPECT_GT(p, 0.0);
-    if (k > 0) EXPECT_LE(p, z.probability(k - 1) + 1e-15);
+    if (k > 0) {
+      EXPECT_LE(p, z.probability(k - 1) + 1e-15);
+    }
     sum += p;
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
