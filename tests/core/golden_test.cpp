@@ -155,6 +155,9 @@ std::vector<std::string> compute_golden() {
   };
   full_table_line(2000, 4000, bgp::RibBackendKind::kHashMap);
   full_table_line(2000, 4000, bgp::RibBackendKind::kRadix);
+  // The null store retains no row: routes die one hop out while the origin
+  // keeps announcing.
+  full_table_line(2000, 4000, bgp::RibBackendKind::kNull);
   // `ext_full_table --prefixes 20000 --events 20000`, the bench tier's
   // full-table scorecard.
   full_table_line(20000, 20000, bgp::RibBackendKind::kHashMap);
