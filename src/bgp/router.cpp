@@ -38,9 +38,7 @@ BgpRouter::BgpRouter(net::NodeId id, std::vector<PeerInfo> peers,
       send_(std::move(send)),
       observer_(observer),
       session_open_(peers_.size(), true),
-      rib_in_(rib_backend),
-      loc_rib_(rib_backend),
-      out_(rib_backend) {
+      rows_(rib_backend) {
   if (!send_) throw std::invalid_argument("BgpRouter: empty send function");
   for (int s = 0; s < static_cast<int>(peers_.size()); ++s) {
     if (peers_[s].id == id_) {
@@ -57,40 +55,36 @@ int BgpRouter::peer_slot(net::NodeId neighbor) const {
   return it == slot_of_.end() ? -1 : it->second;
 }
 
-BgpRouter::RibInEntry& BgpRouter::rib_in(int slot, Prefix p) {
-  auto& v = rib_in_.find_or_create(p);
-  if (v.empty()) v.resize(peers_.size());
-  return v.at(slot);
+BgpRouter::Row& BgpRouter::row_of(Prefix p) {
+  Row& row = rows_.find_or_create(p);
+  if (row.peers.empty()) row.peers.resize(peers_.size());
+  return row;
 }
 
-const BgpRouter::RibInEntry* BgpRouter::find_rib_in(int slot, Prefix p) const {
-  const auto* v = rib_in_.find(p);
-  if (v == nullptr || v->empty()) return nullptr;
-  return &v->at(slot);
+void BgpRouter::mark_in(Row& row) {
+  if (row.has_in || !rows_.retains()) return;
+  row.has_in = true;
+  ++in_rows_;
 }
 
-BgpRouter::OutEntry& BgpRouter::out_entry(int slot, Prefix p) {
-  auto& v = out_.find_or_create(p);
-  if (v.empty()) v.resize(peers_.size());
-  return v.at(slot);
-}
-
-BgpRouter::OutEntry* BgpRouter::find_out(int slot, Prefix p) {
-  auto* v = out_.find(p);
-  if (v == nullptr || v->empty()) return nullptr;
-  return &v->at(slot);
+void BgpRouter::mark_out(Row& row) {
+  if (row.has_out || !rows_.retains()) return;
+  row.has_out = true;
+  ++out_rows_;
 }
 
 void BgpRouter::originate(Prefix p, std::optional<rcn::RootCause> rc) {
   sweep_reclaim();
-  originated_.insert(p);
-  process(p, rc);
+  Row& row = row_of(p);
+  row.originated = true;
+  process(p, row, rc);
 }
 
 void BgpRouter::withdraw_origin(Prefix p, std::optional<rcn::RootCause> rc) {
   sweep_reclaim();
-  originated_.erase(p);
-  process(p, rc);
+  Row& row = row_of(p);
+  row.originated = false;
+  process(p, row, rc);
 }
 
 void BgpRouter::deliver(net::NodeId from, const UpdateMessage& msg) {
@@ -123,14 +117,16 @@ void BgpRouter::receive(int slot, const UpdateMessage& msg) {
     eff.route->local_pref = policy_.import_pref(peers_[slot].rel);
   }
 
-  RibInEntry& entry = rib_in(slot, eff.prefix);
+  Row& row = row_of(eff.prefix);
+  mark_in(row);
+  PeerEntry& entry = row.peers.at(slot);
   // Damping sees every received update, classified against the entry's
   // previous contents (RFC 2439; paper Fig. 2).
   if (damper_) damper_->on_update(slot, eff, entry.route, loop_denied);
   entry.route = eff.route;
   entry.rc = eff.rc;
 
-  process(eff.prefix, eff.rc);
+  process(eff.prefix, row, eff.rc);
 }
 
 void BgpRouter::session_down(int slot, std::optional<rcn::RootCause> rc) {
@@ -146,31 +142,30 @@ void BgpRouter::session_down(int slot, std::optional<rcn::RootCause> rc) {
   // Ordered iteration: the damping charges (and the observer/trace records
   // they emit) happen here, so the visit order must not depend on the
   // storage backend.
-  std::vector<Prefix> affected;
-  rib_in_.for_each_ordered([&](Prefix p, std::vector<RibInEntry>& entries) {
-    if (entries.empty()) return;
-    RibInEntry& e = entries.at(slot);
+  std::vector<std::pair<Prefix, Row*>> affected;
+  rows_.for_each_ordered([&](Prefix p, Row& row) {
+    PeerEntry& e = row.peers[slot];
     if (!e.route) return;
     const UpdateMessage implicit = UpdateMessage::withdraw(p, rc);
     if (damper_) damper_->on_update(slot, implicit, e.route, false);
     e.route.reset();
     e.rc = rc;
-    affected.push_back(p);
+    affected.emplace_back(p, &row);
   });
 
   // The peer has lost everything we ever advertised: reset RIB-OUT state
   // and any pending/rate-limit machinery for the session. `clear_pending`
   // cancels the MRAI wakeup too — resetting `mrai_ready` while the event
   // stays scheduled would leave a stale flush surviving the session churn.
-  out_.for_each_ordered([&](Prefix, std::vector<OutEntry>& entries) {
-    if (entries.empty()) return;
-    OutEntry& oe = entries.at(slot);
+  rows_.for_each_ordered([&](Prefix, Row& row) {
+    OutEntry& oe = row.peers[slot].out;
     clear_pending(oe);
     oe.last_sent.reset();
     oe.mrai_ready = sim::SimTime::zero();
   });
 
-  for (const Prefix p : affected) process(p, rc);
+  // Each decision reclaims at most its own row, so the others stay valid.
+  for (const auto& [p, row] : affected) process(p, *row, rc);
 }
 
 void BgpRouter::session_up(int slot, std::optional<rcn::RootCause> rc) {
@@ -180,41 +175,40 @@ void BgpRouter::session_up(int slot, std::optional<rcn::RootCause> rc) {
   sweep_reclaim();
   session_open_.at(slot) = true;
   // Session (re-)establishment: advertise the current best routes afresh.
-  std::vector<Prefix> prefixes;
-  loc_rib_.for_each([&](Prefix p, const LocRibEntry& loc) {
-    if (loc.best) prefixes.push_back(p);
+  rows_.for_each_ordered([&](Prefix p, Row& row) {
+    if (!row.best) return;
+    mark_out(row);
+    enqueue(row.peers[slot].out, slot, p, desired_for(slot, row), rc);
   });
-  std::sort(prefixes.begin(), prefixes.end());
-  for (const Prefix p : prefixes) {
-    enqueue(slot, p, desired_for(slot, p), rc);
-  }
 }
 
 bool BgpRouter::on_reuse(int slot, Prefix p) {
   sweep_reclaim();
   // The reused entry's stored RC rides on whatever updates the reuse
   // triggers (§6.2: reuse announcements carry an already-seen root cause).
-  const RibInEntry* entry = find_rib_in(slot, p);
-  const std::optional<rcn::RootCause> rc =
-      entry ? entry->rc : std::optional<rcn::RootCause>{};
-  return process(p, rc);
+  Row& row = row_of(p);
+  const std::optional<rcn::RootCause> rc = row.peers.at(slot).rc;
+  return process(p, row, rc);
 }
 
-bool BgpRouter::process(Prefix p, const std::optional<rcn::RootCause>& rc) {
+bool BgpRouter::process(Prefix p, Row& row,
+                        const std::optional<rcn::RootCause>& rc) {
   // Phase 1 of the decision process: pick the best usable candidate.
   Route self_route;
   Candidate best{};
   bool have = false;
   int best_slot = kNoneSlot;
-  if (originated_.contains(p)) {
+  if (row.originated) {
     self_route = Route{AsPath::origin(id_), kWirePref};
     best = Candidate{&self_route, id_, true};
     best_slot = kSelfSlot;
     have = true;
   }
-  if (const auto* in = rib_in_.find(p); in != nullptr && !in->empty()) {
+  // The null store's row is a scratch slot that retains no RIB-IN, so a
+  // router on it selects no learned route (see `RibBackendKind::kNull`).
+  if (rows_.retains()) {
     for (int s = 0; s < static_cast<int>(peers_.size()); ++s) {
-      const RibInEntry& e = (*in)[s];
+      const PeerEntry& e = row.peers[s];
       if (!e.route) continue;
       if (damper_ && damper_->suppressed(s, p)) continue;
       const Candidate c{&*e.route, peers_[s].id, false};
@@ -226,21 +220,20 @@ bool BgpRouter::process(Prefix p, const std::optional<rcn::RootCause>& rc) {
     }
   }
 
-  LocRibEntry& loc = loc_rib_.find_or_create(p);
   const std::optional<Route> new_best =
       have ? std::optional<Route>(*best.route) : std::nullopt;
-  const bool changed = (new_best != loc.best);
-  const bool origin_changed = (best_slot != loc.from_slot);
-  loc.best = new_best;
-  loc.from_slot = best_slot;
+  const bool changed = (new_best != row.best);
+  const bool origin_changed = (best_slot != row.from_slot);
+  row.best = new_best;
+  row.from_slot = best_slot;
   if (changed && observer_) {
-    observer_->on_best_change(id_, p, loc.best, engine_.now());
+    observer_->on_best_change(id_, p, row.best, engine_.now());
   }
   if (!changed && !origin_changed) {
     // Even a no-op decision can be the last event for a prefix (a duplicate
-    // withdrawal allocated an empty RIB-IN row above); reclaim before
-    // returning so dead prefixes never accrete.
-    maybe_reclaim(p);
+    // withdrawal allocated an empty row above); reclaim before returning so
+    // dead prefixes never accrete.
+    maybe_reclaim(p, row, engine_.now());
     return false;
   }
 
@@ -249,47 +242,37 @@ bool BgpRouter::process(Prefix p, const std::optional<rcn::RootCause>& rc) {
   // hoisted out of the peer loop — each peer then only runs the cheap
   // per-peer filters against the shared interned path. The enqueue/flush
   // machinery suppresses no-ops and applies MRAI pacing.
-  auto& out_vec = out_.find_or_create(p);
-  if (out_vec.empty()) out_vec.resize(peers_.size());
+  mark_out(row);
   const std::optional<Route> exported =
-      loc.best ? std::optional<Route>(export_route(loc)) : std::nullopt;
+      row.best ? std::optional<Route>(export_route(row)) : std::nullopt;
   for (int s = 0; s < static_cast<int>(peers_.size()); ++s) {
+    OutEntry& oe = row.peers[s].out;
     if (!session_open_[s]) {
-      // See `enqueue`: a closed session only gets its pending state dropped.
-      clear_pending(out_vec[s]);
+      // A closed session only gets its pending state dropped: RIB-OUT must
+      // keep recording "the peer has nothing from us" (set at session_down),
+      // or the session_up re-advertisement would look like a duplicate.
+      clear_pending(oe);
       continue;
     }
-    enqueue_entry(out_vec[s], s, p,
-                  exported ? filter_export(s, loc, *exported) : std::nullopt,
-                  rc);
+    enqueue(oe, s, p,
+            exported ? filter_export(s, row, *exported) : std::nullopt, rc);
   }
   // A withdrawal fan-out that flushed everywhere may have left the prefix
-  // fully inert; `loc`/`out_vec` are dead after this call.
-  maybe_reclaim(p);
+  // fully inert; `row` is dead after this call.
+  maybe_reclaim(p, row, engine_.now());
   return changed;
 }
 
-void BgpRouter::maybe_reclaim(Prefix p) { maybe_reclaim(p, engine_.now()); }
-
-void BgpRouter::maybe_reclaim(Prefix p, sim::SimTime now) {
-  if (originated_.contains(p)) return;
-  if (const LocRibEntry* loc = loc_rib_.find(p); loc != nullptr && loc->best) {
-    return;
-  }
-  if (const auto* in = rib_in_.find(p)) {
-    for (const RibInEntry& e : *in) {
-      if (e.route) return;
-    }
-  }
+void BgpRouter::maybe_reclaim(Prefix p, const Row& row, sim::SimTime now) {
+  if (row.originated || row.best) return;
   sim::SimTime pacing_horizon = sim::SimTime::zero();
-  if (const auto* out = out_.find(p)) {
-    for (const OutEntry& oe : *out) {
-      if (oe.last_sent || oe.has_pending ||
-          oe.mrai_event != sim::kInvalidEvent) {
-        return;
-      }
-      if (pacing_horizon < oe.mrai_ready) pacing_horizon = oe.mrai_ready;
+  for (const PeerEntry& e : row.peers) {
+    const OutEntry& oe = e.out;
+    if (e.route || oe.last_sent || oe.has_pending ||
+        oe.mrai_event != sim::kInvalidEvent) {
+      return;
     }
+    if (pacing_horizon < oe.mrai_ready) pacing_horizon = oe.mrai_ready;
   }
   if (now < pacing_horizon) {
     // Everything about the prefix is inert except the MRAI rate limit, which
@@ -304,9 +287,9 @@ void BgpRouter::maybe_reclaim(Prefix p, sim::SimTime now) {
     }
     return;
   }
-  rib_in_.erase(p);
-  loc_rib_.erase(p);
-  out_.erase(p);
+  in_rows_ -= row.has_in ? 1 : 0;
+  out_rows_ -= row.has_out ? 1 : 0;
+  rows_.erase(p);
 }
 
 void BgpRouter::sweep_reclaim() { sweep_reclaim(engine_.now()); }
@@ -321,30 +304,29 @@ void BgpRouter::sweep_reclaim(sim::SimTime now) {
     // Re-evaluates from scratch: the prefix may have come alive again since
     // parking (then this is a no-op) or picked up a later horizon (then it
     // re-parks itself, judged at `now`).
-    maybe_reclaim(p, now);
+    if (const Row* row = rows_.find(p)) maybe_reclaim(p, *row, now);
   }
 }
 
-std::optional<Route> BgpRouter::desired_for(int slot, Prefix p) const {
-  const LocRibEntry* loc = loc_rib_.find(p);
-  if (loc == nullptr || !loc->best) return std::nullopt;
-  return filter_export(slot, *loc, export_route(*loc));
+std::optional<Route> BgpRouter::desired_for(int slot, const Row& row) const {
+  if (!row.best) return std::nullopt;
+  return filter_export(slot, row, export_route(row));
 }
 
-Route BgpRouter::export_route(const LocRibEntry& loc) const {
+Route BgpRouter::export_route(const Row& row) const {
   // Learned routes get this AS prepended; a self-originated path already
   // starts (and ends) with it.
-  AsPath exported = (loc.from_slot == kSelfSlot)
-                        ? loc.best->path
-                        : loc.best->path.prepended(id_);
+  AsPath exported = (row.from_slot == kSelfSlot)
+                        ? row.best->path
+                        : row.best->path.prepended(id_);
   return Route{std::move(exported), kWirePref};
 }
 
-std::optional<Route> BgpRouter::filter_export(int slot, const LocRibEntry& loc,
+std::optional<Route> BgpRouter::filter_export(int slot, const Row& row,
                                               const Route& exported) const {
-  if (!cfg_.advertise_to_sender && slot == loc.from_slot) return std::nullopt;
+  if (!cfg_.advertise_to_sender && slot == row.from_slot) return std::nullopt;
   const std::optional<net::Relationship> from_rel =
-      (loc.from_slot >= 0) ? std::optional(peers_[loc.from_slot].rel)
+      (row.from_slot >= 0) ? std::optional(peers_[row.from_slot].rel)
                            : std::nullopt;
   if (!policy_.can_export(from_rel, peers_[slot].rel)) return std::nullopt;
   if (cfg_.sender_side_loop_check &&
@@ -385,23 +367,9 @@ void BgpRouter::clear_pending(OutEntry& oe) {
   }
 }
 
-void BgpRouter::enqueue(int slot, Prefix p, std::optional<Route> desired,
+void BgpRouter::enqueue(OutEntry& oe, int slot, Prefix p,
+                        std::optional<Route> desired,
                         const std::optional<rcn::RootCause>& rc) {
-  if (!session_open_.at(slot)) {
-    // Nothing can reach the peer, and RIB-OUT must keep recording "the peer
-    // has nothing from us" (set at session_down): otherwise a route "sent"
-    // into the dead session would make the session_up re-advertisement look
-    // like a duplicate and strand the peer without the route. Non-creating:
-    // a closed session needs no RIB-OUT state allocated.
-    if (OutEntry* oe = find_out(slot, p)) clear_pending(*oe);
-    return;
-  }
-  enqueue_entry(out_entry(slot, p), slot, p, std::move(desired), rc);
-}
-
-void BgpRouter::enqueue_entry(OutEntry& oe, int slot, Prefix p,
-                              std::optional<Route> desired,
-                              const std::optional<rcn::RootCause>& rc) {
   if (desired == oe.last_sent) {
     // Converged back to what the peer already has: drop any pending update.
     clear_pending(oe);
@@ -416,14 +384,10 @@ void BgpRouter::enqueue_entry(OutEntry& oe, int slot, Prefix p,
   // The latest cause wins: a pending update overwritten by a newer decision
   // is attributed to the newer decision's span.
   if (spans_) oe.pending_parent = spans_->active();
-  try_flush_entry(oe, slot, p);
+  try_flush(oe, slot, p);
 }
 
-void BgpRouter::try_flush(int slot, Prefix p) {
-  try_flush_entry(out_entry(slot, p), slot, p);
-}
-
-void BgpRouter::try_flush_entry(OutEntry& oe, int slot, Prefix p) {
+void BgpRouter::try_flush(OutEntry& oe, int slot, Prefix p) {
   if (!oe.has_pending) return;
   RFDNET_INVARIANT(session_open_.at(slot),
                    "router: pending update held for a closed session");
@@ -442,11 +406,15 @@ void BgpRouter::try_flush_entry(OutEntry& oe, int slot, Prefix p) {
       oe.mrai_event = engine_.schedule_at(
           oe.mrai_ready,
           [this, slot, p] {
-            out_entry(slot, p).mrai_event = sim::kInvalidEvent;
-            try_flush(slot, p);
+            // The row outlives the wakeup: it is never reclaimed while an
+            // MRAI event is scheduled.
+            Row& row = row_of(p);
+            OutEntry& due = row.peers[slot].out;
+            due.mrai_event = sim::kInvalidEvent;
+            try_flush(due, slot, p);
             // A deferred withdrawal that just flushed may have been the
             // prefix's last live state.
-            maybe_reclaim(p);
+            maybe_reclaim(p, row, engine_.now());
           },
           sim::EventKind::kMraiFlush);
     }
@@ -519,9 +487,9 @@ void BgpRouter::try_flush_entry(OutEntry& oe, int slot, Prefix p) {
 
 void BgpRouter::check_invariants() const {
   int held = 0;
-  out_.for_each([&](Prefix, const std::vector<OutEntry>& entries) {
-    for (std::size_t s = 0; s < entries.size(); ++s) {
-      const OutEntry& oe = entries[s];
+  rows_.for_each([&](Prefix, const Row& row) {
+    for (std::size_t s = 0; s < row.peers.size(); ++s) {
+      const OutEntry& oe = row.peers[s].out;
       held += oe.has_pending ? 1 : 0;
       if (!session_open_.at(s)) {
         obs::check_always(!oe.has_pending,
@@ -542,18 +510,18 @@ void BgpRouter::check_invariants() const {
 }
 
 std::optional<Route> BgpRouter::best(Prefix p) const {
-  const LocRibEntry* loc = loc_rib_.find(p);
-  return loc == nullptr ? std::nullopt : loc->best;
+  const Row* row = rows_.find(p);
+  return row == nullptr ? std::nullopt : row->best;
 }
 
 int BgpRouter::best_slot(Prefix p) const {
-  const LocRibEntry* loc = loc_rib_.find(p);
-  return loc == nullptr ? kNoneSlot : loc->from_slot;
+  const Row* row = rows_.find(p);
+  return row == nullptr ? kNoneSlot : row->from_slot;
 }
 
 std::optional<Route> BgpRouter::rib_in_route(int slot, Prefix p) const {
-  const RibInEntry* e = find_rib_in(slot, p);
-  return e ? e->route : std::nullopt;
+  const Row* row = rows_.find(p);
+  return row == nullptr ? std::nullopt : row->peers.at(slot).route;
 }
 
 }  // namespace rfdnet::bgp

@@ -60,7 +60,10 @@ class BgpRouter {
   void originate(Prefix p, std::optional<rcn::RootCause> rc = {});
   /// Stops originating `p` and withdraws it.
   void withdraw_origin(Prefix p, std::optional<rcn::RootCause> rc = {});
-  bool originates(Prefix p) const { return originated_.contains(p); }
+  bool originates(Prefix p) const {
+    const Row* row = rows_.find(p);
+    return row != nullptr && row->originated;
+  }
 
   /// Processes an update that has arrived on peer slot `slot` (called by the
   /// network layer at delivery time, after propagation + processing delay).
@@ -104,7 +107,7 @@ class BgpRouter {
   int pending_depth() const { return pending_depth_; }
 
   /// Storage backend the per-prefix tables run on.
-  RibBackendKind rib_backend() const { return rib_in_.kind(); }
+  RibBackendKind rib_backend() const { return rows_.kind(); }
 
   /// Resident per-prefix rows in each table. A prefix that has been fully
   /// withdrawn everywhere is reclaimed (see `maybe_reclaim`), so at
@@ -118,7 +121,7 @@ class BgpRouter {
     std::size_t total() const { return rib_in + loc_rib + out; }
   };
   RibResidency residency() const {
-    return RibResidency{rib_in_.size(), loc_rib_.size(), out_.size()};
+    return RibResidency{in_rows_, rows_.size(), out_rows_};
   }
   /// Drains every deferred-reclaim candidate whose MRAI pacing horizon has
   /// passed (see `maybe_reclaim`). Runs automatically on every external poke
@@ -154,16 +157,6 @@ class BgpRouter {
   static constexpr int kSelfSlot = -1;
   static constexpr int kNoneSlot = -2;
 
-  struct RibInEntry {
-    std::optional<Route> route;
-    std::optional<rcn::RootCause> rc;  ///< RC of the last update received
-  };
-
-  struct LocRibEntry {
-    std::optional<Route> best;
-    int from_slot = kNoneSlot;
-  };
-
   struct OutEntry {
     std::optional<Route> last_sent;  ///< nullopt: withdrawn / never announced
     std::optional<Route> pending;    ///< desired state while has_pending
@@ -178,52 +171,65 @@ class BgpRouter {
     obs::SpanContext mrai_span;
   };
 
-  RibInEntry& rib_in(int slot, Prefix p);
-  const RibInEntry* find_rib_in(int slot, Prefix p) const;
-  OutEntry& out_entry(int slot, Prefix p);
-  OutEntry* find_out(int slot, Prefix p);
+  /// One peer slot of a row: what the peer told us and what we told it.
+  struct PeerEntry {
+    std::optional<Route> route;        ///< RIB-IN
+    std::optional<rcn::RootCause> rc;  ///< RC of the last update received
+    OutEntry out;                      ///< RIB-OUT
+  };
 
-  /// What peer `slot` should currently be hearing from us for `p` (export
-  /// policy, sender-side filtering), or nullopt for "withdrawn/nothing".
-  std::optional<Route> desired_for(int slot, Prefix p) const;
-  /// The route this router advertises for `loc.best` — the prepend happens
+  /// Everything this router keeps for one prefix (Fig. 2's pipeline).
+  struct Row {
+    bool originated = false;
+    std::optional<Route> best;  ///< Loc-RIB
+    int from_slot = kNoneSlot;
+    /// Whether the row carries RIB-IN / RIB-OUT state; each part counts as
+    /// one resident row.
+    bool has_in = false;
+    bool has_out = false;
+    std::vector<PeerEntry> peers;  ///< indexed by peer slot
+  };
+
+  /// The row for `p`, created (with one entry per peer slot) if absent.
+  Row& row_of(Prefix p);
+  void mark_in(Row& row);
+  void mark_out(Row& row);
+
+  /// What peer `slot` should currently be hearing from us for `row.best`
+  /// (export policy, sender-side filtering), or nullopt for
+  /// "withdrawn/nothing".
+  std::optional<Route> desired_for(int slot, const Row& row) const;
+  /// The route this router advertises for `row.best` — the prepend happens
   /// here, exactly once per decision; the per-peer fan-out shares the
-  /// resulting interned path. `loc.best` must be set.
-  Route export_route(const LocRibEntry& loc) const;
+  /// resulting interned path. `row.best` must be set.
+  Route export_route(const Row& row) const;
   /// Per-peer export filters applied to the shared `exported` route:
   /// advertise-to-sender rule, policy `can_export`, sender-side loop check.
-  std::optional<Route> filter_export(int slot, const LocRibEntry& loc,
+  std::optional<Route> filter_export(int slot, const Row& row,
                                      const Route& exported) const;
 
-  /// Recomputes the best route for `p`, updates Loc-RIB, and enqueues the
-  /// resulting updates toward every peer. `trigger_rc` is copied into those
-  /// updates (RCN propagation rule, §6.1). Returns true if Loc-RIB changed.
-  bool process(Prefix p, const std::optional<rcn::RootCause>& trigger_rc);
+  /// Recomputes the best route for `p` from its row, updates Loc-RIB, and
+  /// enqueues the resulting updates toward every peer. `trigger_rc` is
+  /// copied into those updates (RCN propagation rule, §6.1). Returns true if
+  /// Loc-RIB changed. `row` may be reclaimed on the way out.
+  bool process(Prefix p, Row& row,
+               const std::optional<rcn::RootCause>& trigger_rc);
 
-  void enqueue(int slot, Prefix p, std::optional<Route> desired,
+  void enqueue(OutEntry& oe, int slot, Prefix p, std::optional<Route> desired,
                const std::optional<rcn::RootCause>& rc);
-  /// `enqueue` with the RIB-OUT entry already in hand — the decision-process
-  /// fan-out resolves `out_[p]` once and feeds every peer's entry through
-  /// here instead of re-hashing per peer.
-  void enqueue_entry(OutEntry& oe, int slot, Prefix p,
-                     std::optional<Route> desired,
-                     const std::optional<rcn::RootCause>& rc);
-  void try_flush(int slot, Prefix p);
-  void try_flush_entry(OutEntry& oe, int slot, Prefix p);
+  void try_flush(OutEntry& oe, int slot, Prefix p);
   void clear_pending(OutEntry& oe);
-  /// Reclaims the per-prefix rows of `p` once everything about it is inert:
-  /// not originated, no RIB-IN route on any slot, no Loc-RIB best, and every
+  /// Reclaims the row of `p` once everything about it is inert: not
+  /// originated, no RIB-IN route on any slot, no Loc-RIB best, and every
   /// RIB-OUT entry idle (nothing sent-and-standing, nothing pending, no MRAI
   /// wakeup). A row whose only live state is a future `mrai_ready` is not
   /// erased — that would forget the rate limit — but is parked on
   /// `reclaim_queue_` and re-checked by `sweep_reclaim` once the pacing
-  /// horizon has passed. No engine event is scheduled: reclamation is pure
-  /// bookkeeping and must not perturb `Engine::pending()` or run-to-empty
-  /// clock behavior.
-  void maybe_reclaim(Prefix p);
-  /// The same check with the park/erase decision judged at an explicit
-  /// instant (see the public `sweep_reclaim(SimTime)` overload).
-  void maybe_reclaim(Prefix p, sim::SimTime now);
+  /// horizon has passed. The park/erase decision is judged at `now` (see
+  /// the public `sweep_reclaim(SimTime)` overload). No engine event is
+  /// scheduled: reclamation is pure bookkeeping and must not perturb
+  /// `Engine::pending()` or run-to-empty clock behavior.
+  void maybe_reclaim(Prefix p, const Row& row, sim::SimTime now);
   /// Single bookkeeping point for pending-depth changes: keeps the local
   /// counter, the metrics gauge and the observer in lockstep.
   void note_pending(int delta, sim::SimTime t);
@@ -242,14 +248,12 @@ class BgpRouter {
   obs::TraceSink* trace_ = nullptr;
   obs::SpanTracer* spans_ = nullptr;
 
-  std::unordered_set<Prefix> originated_;
   /// Per-slot session state; all sessions start established.
   std::vector<bool> session_open_;
-  // Per-prefix tables behind the pluggable storage backend. The rib_in_ and
-  // out_ rows are indexed by peer slot.
-  RibTable<std::vector<RibInEntry>> rib_in_;
-  RibTable<LocRibEntry> loc_rib_;
-  RibTable<std::vector<OutEntry>> out_;
+  /// One row per prefix, behind the pluggable storage backend.
+  RibTable<Row> rows_;
+  std::size_t in_rows_ = 0;   ///< rows with `has_in`
+  std::size_t out_rows_ = 0;  ///< rows with `has_out`
   /// Deferred-reclaim parking lot: min-heap of (pacing horizon, prefix)
   /// drained by `sweep_reclaim`, with a guard set so each prefix is parked
   /// at most once (a stale horizon just re-evaluates and re-parks).
