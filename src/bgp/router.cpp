@@ -61,18 +61,6 @@ BgpRouter::Row& BgpRouter::row_of(Prefix p) {
   return row;
 }
 
-void BgpRouter::mark_in(Row& row) {
-  if (row.has_in || !rows_.retains()) return;
-  row.has_in = true;
-  ++in_rows_;
-}
-
-void BgpRouter::mark_out(Row& row) {
-  if (row.has_out || !rows_.retains()) return;
-  row.has_out = true;
-  ++out_rows_;
-}
-
 void BgpRouter::originate(Prefix p, std::optional<rcn::RootCause> rc) {
   sweep_reclaim();
   Row& row = row_of(p);
@@ -118,7 +106,6 @@ void BgpRouter::receive(int slot, const UpdateMessage& msg) {
   }
 
   Row& row = row_of(eff.prefix);
-  mark_in(row);
   PeerEntry& entry = row.peers.at(slot);
   // Damping sees every received update, classified against the entry's
   // previous contents (RFC 2439; paper Fig. 2).
@@ -177,7 +164,6 @@ void BgpRouter::session_up(int slot, std::optional<rcn::RootCause> rc) {
   // Session (re-)establishment: advertise the current best routes afresh.
   rows_.for_each_ordered([&](Prefix p, Row& row) {
     if (!row.best) return;
-    mark_out(row);
     enqueue(row.peers[slot].out, slot, p, desired_for(slot, row), rc);
   });
 }
@@ -242,7 +228,6 @@ bool BgpRouter::process(Prefix p, Row& row,
   // hoisted out of the peer loop — each peer then only runs the cheap
   // per-peer filters against the shared interned path. The enqueue/flush
   // machinery suppresses no-ops and applies MRAI pacing.
-  mark_out(row);
   const std::optional<Route> exported =
       row.best ? std::optional<Route>(export_route(row)) : std::nullopt;
   for (int s = 0; s < static_cast<int>(peers_.size()); ++s) {
@@ -287,8 +272,6 @@ void BgpRouter::maybe_reclaim(Prefix p, const Row& row, sim::SimTime now) {
     }
     return;
   }
-  in_rows_ -= row.has_in ? 1 : 0;
-  out_rows_ -= row.has_out ? 1 : 0;
   rows_.erase(p);
 }
 

@@ -109,24 +109,16 @@ class BgpRouter {
   /// Storage backend the per-prefix tables run on.
   RibBackendKind rib_backend() const { return rows_.kind(); }
 
-  /// Resident per-prefix rows in each table. A prefix that has been fully
-  /// withdrawn everywhere is reclaimed (see `maybe_reclaim`), so at
-  /// quiescence these track the set of reachable prefixes, not the set of
-  /// prefixes ever heard — the difference is the full-table leak this
-  /// bounds. Always zero on the null backend.
-  struct RibResidency {
-    std::size_t rib_in = 0;
-    std::size_t loc_rib = 0;
-    std::size_t out = 0;
-    std::size_t total() const { return rib_in + loc_rib + out; }
-  };
-  RibResidency residency() const {
-    return RibResidency{in_rows_, rows_.size(), out_rows_};
-  }
+  /// Resident per-prefix rows. A prefix that has been fully withdrawn
+  /// everywhere is reclaimed (see `maybe_reclaim`), so at quiescence this
+  /// tracks the set of reachable prefixes, not the set of prefixes ever
+  /// heard — the difference is the full-table leak this bounds. Always zero
+  /// on the null backend.
+  std::size_t resident_rows() const { return rows_.size(); }
   /// Drains every deferred-reclaim candidate whose MRAI pacing horizon has
   /// passed (see `maybe_reclaim`). Runs automatically on every external poke
   /// (deliver, session churn, reuse, origination); drivers call it before
-  /// reading `residency` so rows parked after the network's last activity
+  /// reading `resident_rows` so rows parked after the network's last activity
   /// don't linger in the report. O(1) when nothing is parked.
   void sweep_reclaim();
   /// Same sweep judged at an explicit instant instead of the engine clock.
@@ -183,17 +175,11 @@ class BgpRouter {
     bool originated = false;
     std::optional<Route> best;  ///< Loc-RIB
     int from_slot = kNoneSlot;
-    /// Whether the row carries RIB-IN / RIB-OUT state; each part counts as
-    /// one resident row.
-    bool has_in = false;
-    bool has_out = false;
     std::vector<PeerEntry> peers;  ///< indexed by peer slot
   };
 
   /// The row for `p`, created (with one entry per peer slot) if absent.
   Row& row_of(Prefix p);
-  void mark_in(Row& row);
-  void mark_out(Row& row);
 
   /// What peer `slot` should currently be hearing from us for `row.best`
   /// (export policy, sender-side filtering), or nullopt for
@@ -252,8 +238,6 @@ class BgpRouter {
   std::vector<bool> session_open_;
   /// One row per prefix, behind the pluggable storage backend.
   RibTable<Row> rows_;
-  std::size_t in_rows_ = 0;   ///< rows with `has_in`
-  std::size_t out_rows_ = 0;  ///< rows with `has_out`
   /// Deferred-reclaim parking lot: min-heap of (pacing horizon, prefix)
   /// drained by `sweep_reclaim`, with a guard set so each prefix is parked
   /// at most once (a stale horizon just re-evaluates and re-parks).

@@ -80,7 +80,8 @@ struct FullTableResult {
   double sim_duration_s = 0.0;          ///< simulated churn + cooldown span
   bool hit_horizon = false;             ///< events still pending at the end
 
-  /// Resident per-prefix rows summed over all routers, sampled at `samples`
+  /// Resident RIB rows, one per (router, prefix) with any RIB-IN, Loc-RIB or
+  /// RIB-OUT state, summed over all routers and sampled at `samples`
   /// fixed instants across the toggle stream and after cooldown (final);
   /// `peak` is the largest of those sums. The reclamation bugfix keeps
   /// `final` at the reachable-prefix baseline instead of

@@ -270,7 +270,7 @@ void start_telemetry(std::vector<Lane>& lanes, sim::SimTime t0,
       std::int64_t total = 0;
       for (bgp::BgpRouter* r : l.routers) {
         r->sweep_reclaim(l.sample_now);
-        total += static_cast<std::int64_t>(r->residency().total());
+        total += static_cast<std::int64_t>(r->resident_rows());
       }
       return total;
     });
@@ -350,7 +350,7 @@ Residency measure(Lane& l, sim::SimTime now) {
   Residency r;
   for (bgp::BgpRouter* router : l.routers) {
     router->sweep_reclaim(now);
-    r.rib += router->residency().total();
+    r.rib += router->resident_rows();
   }
   for (const rfd::DampingModule* d : l.dampers) {
     r.tracked += d->tracked_entries();

@@ -187,11 +187,10 @@ struct DampingMetrics {
 };
 
 /// Residency gauges, set by the drivers from their own samples rather than
-/// on the hot path: resident per-prefix RIB rows (RIB-IN + Loc-RIB +
-/// RIB-OUT) over all routers, damping entry-store rows (`tracked`) and
-/// live-penalty entries (`active`, what the RFC 2439 memory limit bounds)
-/// over all damping modules. Each has a `_peak` twin holding the in-run
-/// high-water mark the driver sampled.
+/// on the hot path: resident (router, prefix) RIB rows over all routers,
+/// damping entry-store rows (`tracked`) and live-penalty entries (`active`,
+/// what the RFC 2439 memory limit bounds) over all damping modules. Each has
+/// a `_peak` twin holding the in-run high-water mark the driver sampled.
 struct ResidencyMetrics {
   Gauge* rib = nullptr;
   Gauge* rib_peak = nullptr;

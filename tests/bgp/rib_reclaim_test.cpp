@@ -56,15 +56,13 @@ TEST_P(RibReclaimTest, AnnounceWithdrawReturnsToBaseline) {
   for (Prefix p = 0; p < kN; ++p) {
     router_->deliver(1, UpdateMessage::announce(p, path1(1)));
   }
-  EXPECT_EQ(router_->residency().rib_in, kN);
-  EXPECT_EQ(router_->residency().loc_rib, kN);
-  EXPECT_EQ(router_->residency().out, kN);
+  EXPECT_EQ(router_->resident_rows(), kN);
   for (Prefix p = 0; p < kN; ++p) {
     router_->deliver(1, UpdateMessage::withdraw(p));
   }
   // Every row is inert again: the full announce/withdraw cycle must not
   // leave resident per-prefix state behind.
-  EXPECT_EQ(router_->residency().total(), 0u);
+  EXPECT_EQ(router_->resident_rows(), 0u);
   router_->check_invariants();
 }
 
@@ -75,7 +73,7 @@ TEST_P(RibReclaimTest, DuplicateWithdrawalDoesNotAccrete) {
   for (Prefix p = 0; p < 50; ++p) {
     router_->deliver(1, UpdateMessage::withdraw(p));
   }
-  EXPECT_EQ(router_->residency().total(), 0u);
+  EXPECT_EQ(router_->resident_rows(), 0u);
 }
 
 TEST_P(RibReclaimTest, MraiPacingDefersReclamationWithoutEngineEvents) {
@@ -85,7 +83,7 @@ TEST_P(RibReclaimTest, MraiPacingDefersReclamationWithoutEngineEvents) {
   // The withdrawal bypassed MRAI and went out, but the peer-2 out-entry
   // still carries mrai_ready = t+30: erasing now would forget the rate
   // limit, so the row is parked instead — with no engine event backing it.
-  EXPECT_GT(router_->residency().total(), 0u);
+  EXPECT_GT(router_->resident_rows(), 0u);
   EXPECT_EQ(engine_.pending(), 0u);
 
   // Re-announcement inside the window must still be paced (the bug the
@@ -100,7 +98,7 @@ TEST_P(RibReclaimTest, MraiPacingDefersReclamationWithoutEngineEvents) {
   // state of its own.
   advance(40.0);
   router_->session_up(0);
-  EXPECT_EQ(router_->residency().total(), 0u);
+  EXPECT_EQ(router_->resident_rows(), 0u);
   router_->check_invariants();
 }
 
@@ -108,14 +106,14 @@ TEST_P(RibReclaimTest, ParkedPrefixComingAliveAgainIsKept) {
   make(30.0);
   router_->deliver(1, UpdateMessage::announce(0, path1(1)));
   router_->deliver(1, UpdateMessage::withdraw(0));
-  EXPECT_GT(router_->residency().total(), 0u);
+  EXPECT_GT(router_->resident_rows(), 0u);
   // The prefix comes back before the horizon: the sweep must notice the row
   // is live again and keep it.
   router_->deliver(1, UpdateMessage::announce(0, path1(1)));
   advance(120.0);
   router_->session_up(0);
   EXPECT_TRUE(router_->best(0).has_value());
-  EXPECT_GT(router_->residency().total(), 0u);
+  EXPECT_GT(router_->resident_rows(), 0u);
   router_->check_invariants();
 }
 
@@ -125,7 +123,7 @@ TEST_P(RibReclaimTest, ConstReadsDoNotCreateRows) {
   EXPECT_FALSE(r.best(99).has_value());
   EXPECT_LT(r.best_slot(99), 0);
   EXPECT_FALSE(r.rib_in_route(0, 99).has_value());
-  EXPECT_EQ(r.residency().total(), 0u);
+  EXPECT_EQ(r.resident_rows(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RibReclaimTest,
@@ -155,7 +153,7 @@ TEST(RibReclaimNullTest, NullBackendRetainsNothing) {
     router.deliver(1, UpdateMessage::announce(p, path1(1)));
     router.deliver(1, UpdateMessage::withdraw(p));
   }
-  EXPECT_EQ(router.residency().total(), 0u);
+  EXPECT_EQ(router.resident_rows(), 0u);
   router.check_invariants();
 }
 

@@ -47,9 +47,9 @@ TEST(FullTable, ChurnRunsAndResidencyStaysBounded) {
   EXPECT_EQ(res.toggles_applied, cfg.events);
   EXPECT_GT(res.updates_delivered, 0u);
   EXPECT_GT(res.updates_sent, 0u);
-  // Three per-prefix tables per router is the hard ceiling on rows.
+  // One row per (router, prefix) is the hard ceiling on rows.
   const std::size_t ceiling =
-      3u * static_cast<std::size_t>(cfg.routers) * cfg.prefixes;
+      static_cast<std::size_t>(cfg.routers) * cfg.prefixes;
   EXPECT_LE(res.peak_rib_resident, ceiling);
   EXPECT_GT(res.peak_rib_resident, 0u);
   EXPECT_LE(res.final_rib_resident, res.peak_rib_resident);
@@ -61,7 +61,7 @@ TEST(FullTable, ChurnRunsAndResidencyStaysBounded) {
 TEST(FullTable, WithdrawnTailIsReclaimed) {
   // Uniform churn over few prefixes, long cooldown, no damping: every prefix
   // left withdrawn at the end must have its rows reclaimed on every router,
-  // so final residency is exactly (prefixes up) x routers x 3 tables.
+  // so final residency is exactly (prefixes up) x routers.
   FullTableConfig cfg = small_config();
   cfg.prefixes = 32;
   cfg.alpha = 0.0;
@@ -74,7 +74,7 @@ TEST(FullTable, WithdrawnTailIsReclaimed) {
   // prefix is deterministic for the seed, so just bound: the final residency
   // must be a multiple of what one fully-up prefix costs and no more than
   // all-up.
-  const std::size_t per_prefix = 3u * static_cast<std::size_t>(cfg.routers);
+  const std::size_t per_prefix = static_cast<std::size_t>(cfg.routers);
   EXPECT_LE(res.final_rib_resident, per_prefix * cfg.prefixes);
   EXPECT_EQ(res.final_rib_resident % per_prefix, 0u)
       << "a partially-reclaimed prefix leaked rows";
@@ -155,7 +155,7 @@ TEST(FullTable, ZeroEventsIsAWarmupOnlyRun) {
   EXPECT_EQ(res.toggles_applied, 0u);
   // The warmed-up table is fully resident on every router.
   EXPECT_EQ(res.final_rib_resident,
-            3u * static_cast<std::size_t>(cfg.routers) * cfg.prefixes);
+            static_cast<std::size_t>(cfg.routers) * cfg.prefixes);
 }
 
 }  // namespace
