@@ -7,7 +7,7 @@
 // constantly, cold tail occasionally) and reports:
 //
 //  - throughput: delivered updates per wall-clock core-second, per backend;
-//  - resident per-prefix state: peak/final RIB rows across all routers —
+//  - resident per-prefix state: peak/final (router, prefix) RIB rows —
 //    bounded by the reclamation sweep, not by how many prefixes ever churned;
 //  - damping state: peak/final tracked and active entries — the active set
 //    is what the RFC 2439 memory-limit prune bounds.
@@ -21,7 +21,10 @@
 //   ext_full_table [--prefixes N] [--alpha A] [--events N] [--interval S]
 //                  [--routers N] [--seed S] [--samples N] [--cooldown S]
 //                  [--rib-backend hash|radix|null] [--json PATH]
-//                  [--stability] [--stability-gap S]
+//                  [--shards N] [--stability] [--stability-gap S] [--metrics]
+//
+// --metrics prints the merged metrics of every backend's run on exit;
+// --trace, --trace-format and --profile exit 2 (nothing records them here).
 //
 // Defaults are sized so the no-argument run (check.sh runs every bench
 // binary bare) finishes in seconds; the perf-tier ctest invocation passes
@@ -49,8 +52,6 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace rfdnet;
-  const core::ObsScope obs(argc, argv);
-
   core::ArgParser args({"metrics", "stability"},
                        {"prefixes", "alpha", "events", "interval", "routers",
                         "seed", "samples", "cooldown", "rib-backend", "json",
@@ -60,6 +61,16 @@ int main(int argc, char** argv) {
     std::cerr << args.error() << "\n";
     return 2;
   }
+  // The full-table driver records no event trace and no dispatch profile;
+  // rejected before the scope opens, so nothing empty is written on exit.
+  for (const char* flag : {"trace", "trace-format", "profile"}) {
+    if (args.has(flag)) {
+      std::cerr << "ext_full_table: --" << flag
+                << " is not supported (only --metrics is)\n";
+      return 2;
+    }
+  }
+  const core::ObsScope obs(argc, argv);
 
   core::FullTableConfig cfg;
   cfg.prefixes = static_cast<std::size_t>(args.get_u64("prefixes", 20000));
@@ -74,7 +85,7 @@ int main(int argc, char** argv) {
   // thread, and the scorecard is byte-identical at every shard count.
   cfg.shards = args.get_int("shards", 0);
   // Streaming train analytics shard cleanly, so --stability composes with
-  // --shards (unlike --trace / --profile).
+  // --shards.
   cfg.collect_stability = args.has("stability");
   if (args.has("stability-gap")) {
     cfg.stability_gap_s = args.get_double("stability-gap", 30.0);
@@ -105,6 +116,7 @@ int main(int argc, char** argv) {
     core::FullTableConfig run_cfg = cfg;
     run_cfg.rib_backend = backend;
     rows.push_back(Row{backend, core::run_full_table(run_cfg)});
+    core::obs_runtime::accumulate(rows.back().res.metrics);
   }
 
   core::TextTable t({"backend", "updates/s/core", "wall (s)", "delivered",
@@ -168,11 +180,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "\ntrend check: final RIB residency is 3*routers*(prefixes "
-               "up) — the withdrawn\ntail is reclaimed, not leaked; damping "
-               "state tracks only the churned subset of\nthe table (decayed "
-               "episodes are pruned on the next charge, RFC 2439 memory\n"
-               "limit); the null backend is the pure engine-overhead "
+  std::cout << "\ntrend check: final RIB residency is routers*(prefixes "
+               "up) rows — the\nwithdrawn tail is reclaimed, not leaked; "
+               "damping state tracks only the churned\nsubset of the table "
+               "(decayed episodes are pruned on the next charge, RFC 2439\n"
+               "memory limit); the null backend is the pure engine-overhead "
                "floor.\n";
   return 0;
 }

@@ -69,6 +69,12 @@ expect2 "ext_full_table rejects garbage --seed" \
   "invalid value 'abc' for --seed" "$FULL_TABLE" --seed abc
 expect2 "ext_full_table rejects garbage --prefixes" \
   "invalid value '10k' for --prefixes" "$FULL_TABLE" --prefixes 10k
+expect2 "ext_full_table rejects --trace" "--trace is not supported" \
+  "$FULL_TABLE" --trace /tmp/cli-strict-unused
+expect2 "ext_full_table rejects --trace-format" \
+  "--trace-format is not supported" "$FULL_TABLE" --trace-format jsonl
+expect2 "ext_full_table rejects --profile" "--profile is not supported" \
+  "$FULL_TABLE" --profile -
 
 # --- rfdnetd: daemon flags -------------------------------------------------
 expect2 "rfdnetd rejects garbage --queue" "invalid value 'abc' for --queue" \
