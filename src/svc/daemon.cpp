@@ -45,8 +45,8 @@ Daemon::~Daemon() {
   close_listener();
   if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
   if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (Connection& c : conns_) {
+    if (c.thread.joinable()) c.thread.join();
   }
 }
 
@@ -137,11 +137,21 @@ int Daemon::serve() {
       std::fprintf(stderr, "rfdnetd: accept: %s\n", std::strerror(errno));
       break;
     }
+    // Reap the connections that have closed since the last accept.
+    conns_.remove_if([](Connection& c) {
+      if (!c.done.load()) return false;
+      c.thread.join();
+      return true;
+    });
     {
       std::lock_guard<std::mutex> lk(conn_mu_);
       conn_fds_.insert(conn);
-      conn_threads_.emplace_back([this, conn] { handle_connection(conn); });
     }
+    Connection& c = conns_.emplace_back();
+    c.thread = std::thread([this, conn, &c] {
+      handle_connection(conn);
+      c.done.store(true);
+    });
   }
 
   // Stop sequence: refuse new connections, let admitted work finish (the
@@ -154,10 +164,10 @@ int Daemon::serve() {
     std::lock_guard<std::mutex> lk(conn_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
   }
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (Connection& c : conns_) {
+    if (c.thread.joinable()) c.thread.join();
   }
-  conn_threads_.clear();
+  conns_.clear();
   std::fprintf(stderr, "rfdnetd: drained; %s\n", svc_.status_line().c_str());
   return 0;
 }

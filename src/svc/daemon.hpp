@@ -1,11 +1,12 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <list>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "svc/service.hpp"
 
@@ -25,7 +26,8 @@ struct DaemonConfig {
 /// AF_UNIX transport around a `Service`: accepts connections, reads
 /// newline-delimited JSON requests, writes one response line per request.
 /// One thread per connection (the daemon's concurrency ceiling is the job
-/// queue, not the connection count).
+/// queue, not the connection count); each accept joins the threads whose
+/// connection has closed, so finished connections keep no stack mapped.
 ///
 /// Lifecycle: `start()` binds + listens; `serve()` blocks in a poll loop
 /// until `request_stop()` (async-signal-safe — the SIGINT/SIGTERM handlers
@@ -61,9 +63,17 @@ class Daemon {
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};
 
+  /// A connection's thread, and whether its handler has returned.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   std::mutex conn_mu_;
   std::set<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  /// Touched only by the serve loop (and the destructor); a list, so the
+  /// `done` flag a running handler sets never moves.
+  std::list<Connection> conns_;
 };
 
 }  // namespace rfdnet::svc

@@ -5,6 +5,7 @@
 
 #include "svc/daemon.hpp"
 
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
@@ -326,6 +328,43 @@ TEST(SvcDaemon, OverlongLineGetsA400AndTheConnectionCloses) {
   EXPECT_NE(reply->find("request line exceeds 4 MiB"), std::string::npos)
       << *reply;
   EXPECT_EQ(c.read_line(), std::nullopt);
+}
+
+/// This process's virtual size in KiB (`VmSize` in /proc/self/status).
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  long kib = -1;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      status >> kib;
+      break;
+    }
+  }
+  return kib;
+}
+
+TEST(SvcDaemon, ClosedConnectionsDoNotKeepTheirThreadStacks) {
+  // One malloc arena for the process: otherwise glibc maps a fresh 64 MiB
+  // arena whenever a connection thread starts before the previous one has
+  // exited, which depends on scheduling and says nothing about stacks.
+  mallopt(M_ARENA_MAX, 1);
+  TestDaemon d;
+  ASSERT_TRUE(d.started);
+  const auto ping_and_close = [&d] {
+    Client c = d.connect();
+    EXPECT_EQ(roundtrip(c, "{\"op\":\"ping\"}"),
+              "{\"ok\":true,\"pong\":true}");
+  };
+  // A few connections first, so the first stacks are already mapped when
+  // the baseline is read.
+  for (int i = 0; i < 8; ++i) ping_and_close();
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 100; ++i) ping_and_close();
+  // Each unjoined thread keeps its stack (8 MiB by default) mapped.
+  EXPECT_LT(vm_size_kib() - before, 64L * 1024)
+      << "VmSize before: " << before << " KiB";
 }
 
 TEST(SvcDaemon, StartFailsOnOverlongSocketPath) {
