@@ -15,10 +15,9 @@
 
 namespace rfdnet::bgp {
 
-/// Storage strategy for per-prefix RIB state (the router's rows, each holding
-/// its RIB-IN, Loc-RIB and RIB-OUT for one prefix, and the damping module's
-/// entry store). Swappable at construction time, after xripd's `rib-ll` /
-/// `rib-null` vtable backends:
+/// Storage strategy for per-prefix RIB state (the router's rows and the
+/// damping module's entry store). Swappable at construction time, after
+/// xripd's `rib-ll` / `rib-null` vtable backends:
 ///
 ///  - kHashMap: the classic `unordered_map<Prefix, T>` — O(1) lookups,
 ///    unordered iteration, per-node allocation. The default.

@@ -164,7 +164,8 @@ void BgpRouter::session_up(int slot, std::optional<rcn::RootCause> rc) {
   // Session (re-)establishment: advertise the current best routes afresh.
   rows_.for_each_ordered([&](Prefix p, Row& row) {
     if (!row.best) return;
-    enqueue(row.peers[slot].out, slot, p, desired_for(slot, row), rc);
+    enqueue(row.peers[slot].out, slot, p,
+            filter_export(slot, row, export_route(row)), rc);
   });
 }
 
@@ -233,9 +234,8 @@ bool BgpRouter::process(Prefix p, Row& row,
   for (int s = 0; s < static_cast<int>(peers_.size()); ++s) {
     OutEntry& oe = row.peers[s].out;
     if (!session_open_[s]) {
-      // A closed session only gets its pending state dropped: RIB-OUT must
-      // keep recording "the peer has nothing from us" (set at session_down),
-      // or the session_up re-advertisement would look like a duplicate.
+      // A closed session only drops its pending state: RIB-OUT keeps "the
+      // peer has nothing from us" (session_down) for session_up to resend.
       clear_pending(oe);
       continue;
     }
@@ -289,11 +289,6 @@ void BgpRouter::sweep_reclaim(sim::SimTime now) {
     // re-parks itself, judged at `now`).
     if (const Row* row = rows_.find(p)) maybe_reclaim(p, *row, now);
   }
-}
-
-std::optional<Route> BgpRouter::desired_for(int slot, const Row& row) const {
-  if (!row.best) return std::nullopt;
-  return filter_export(slot, row, export_route(row));
 }
 
 Route BgpRouter::export_route(const Row& row) const {
@@ -389,12 +384,10 @@ void BgpRouter::try_flush(OutEntry& oe, int slot, Prefix p) {
       oe.mrai_event = engine_.schedule_at(
           oe.mrai_ready,
           [this, slot, p] {
-            // The row outlives the wakeup: it is never reclaimed while an
-            // MRAI event is scheduled.
+            // No row is reclaimed while its MRAI wakeup is scheduled.
             Row& row = row_of(p);
-            OutEntry& due = row.peers[slot].out;
-            due.mrai_event = sim::kInvalidEvent;
-            try_flush(due, slot, p);
+            row.peers[slot].out.mrai_event = sim::kInvalidEvent;
+            try_flush(row.peers[slot].out, slot, p);
             // A deferred withdrawal that just flushed may have been the
             // prefix's last live state.
             maybe_reclaim(p, row, engine_.now());

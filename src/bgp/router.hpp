@@ -118,8 +118,8 @@ class BgpRouter {
   /// Drains every deferred-reclaim candidate whose MRAI pacing horizon has
   /// passed (see `maybe_reclaim`). Runs automatically on every external poke
   /// (deliver, session churn, reuse, origination); drivers call it before
-  /// reading `resident_rows` so rows parked after the network's last activity
-  /// don't linger in the report. O(1) when nothing is parked.
+  /// reading `resident_rows` so rows parked after the network's last
+  /// activity don't linger in the report. O(1) when nothing is parked.
   void sweep_reclaim();
   /// Same sweep judged at an explicit instant instead of the engine clock.
   /// The telemetry probes use this: at a barrier-aligned sample instant a
@@ -181,10 +181,6 @@ class BgpRouter {
   /// The row for `p`, created (with one entry per peer slot) if absent.
   Row& row_of(Prefix p);
 
-  /// What peer `slot` should currently be hearing from us for `row.best`
-  /// (export policy, sender-side filtering), or nullopt for
-  /// "withdrawn/nothing".
-  std::optional<Route> desired_for(int slot, const Row& row) const;
   /// The route this router advertises for `row.best` — the prepend happens
   /// here, exactly once per decision; the per-peer fan-out shares the
   /// resulting interned path. `row.best` must be set.
@@ -194,10 +190,9 @@ class BgpRouter {
   std::optional<Route> filter_export(int slot, const Row& row,
                                      const Route& exported) const;
 
-  /// Recomputes the best route for `p` from its row, updates Loc-RIB, and
-  /// enqueues the resulting updates toward every peer. `trigger_rc` is
-  /// copied into those updates (RCN propagation rule, §6.1). Returns true if
-  /// Loc-RIB changed. `row` may be reclaimed on the way out.
+  /// Recomputes the best route for `p` from `row`, updates Loc-RIB, and
+  /// enqueues the resulting updates toward every peer, carrying `trigger_rc`
+  /// (RCN, §6.1); may reclaim `row`. Returns true if Loc-RIB changed.
   bool process(Prefix p, Row& row,
                const std::optional<rcn::RootCause>& trigger_rc);
 
@@ -211,9 +206,8 @@ class BgpRouter {
   /// wakeup). A row whose only live state is a future `mrai_ready` is not
   /// erased — that would forget the rate limit — but is parked on
   /// `reclaim_queue_` and re-checked by `sweep_reclaim` once the pacing
-  /// horizon has passed. The park/erase decision is judged at `now` (see
-  /// the public `sweep_reclaim(SimTime)` overload). No engine event is
-  /// scheduled: reclamation is pure bookkeeping and must not perturb
+  /// horizon has passed, judged at `now`. No engine event is scheduled:
+  /// reclamation is pure bookkeeping and must not perturb
   /// `Engine::pending()` or run-to-empty clock behavior.
   void maybe_reclaim(Prefix p, const Row& row, sim::SimTime now);
   /// Single bookkeeping point for pending-depth changes: keeps the local

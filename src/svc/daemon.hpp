@@ -63,10 +63,9 @@ class Daemon {
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};
 
-  /// A connection's thread, and whether its handler has returned.
   struct Connection {
     std::thread thread;
-    std::atomic<bool> done{false};
+    std::atomic<bool> done{false};  ///< set once the handler has returned
   };
 
   std::mutex conn_mu_;
