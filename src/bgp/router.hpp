@@ -106,7 +106,7 @@ class BgpRouter {
   /// Updates currently held back (pending RIB-OUT entries).
   int pending_depth() const { return pending_depth_; }
 
-  /// Storage backend the per-prefix tables run on.
+  /// Storage backend the per-prefix rows run on.
   RibBackendKind rib_backend() const { return rows_.kind(); }
 
   /// Resident per-prefix rows. A prefix that has been fully withdrawn
