@@ -34,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,8 +71,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const core::ObsScope obs(argc, argv);
-
   core::FullTableConfig cfg;
   cfg.prefixes = static_cast<std::size_t>(args.get_u64("prefixes", 20000));
   cfg.alpha = args.get_double("alpha", 1.0);
@@ -90,6 +89,15 @@ int main(int argc, char** argv) {
   if (args.has("stability-gap")) {
     cfg.stability_gap_s = args.get_double("stability-gap", 30.0);
   }
+  // Rejected once, like a bad flag, before any backend runs or the scope
+  // opens.
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "ext_full_table: " << e.what() << "\n";
+    return 2;
+  }
+  const core::ObsScope obs(argc, argv);
 
   std::vector<bgp::RibBackendKind> backends;
   if (args.has("rib-backend")) {

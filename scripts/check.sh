@@ -164,8 +164,10 @@ ctest --test-dir build-asan --output-on-failure
 # synchronization under the real BGP workload, the slot-delivery suite
 # checks that cross-shard updates land on their sender's slot, the
 # stability/telemetry property suites pin the per-shard tracker and sampler
-# merge contracts, and the svc suites hammer the daemon's single-flight
-# dispatcher and drain path from concurrent client threads.
+# merge contracts, the live-entry oracle checks the damping counters against
+# their walk on the 2-shard full table, and the svc suites hammer the
+# daemon's single-flight dispatcher and drain path from concurrent client
+# threads.
 # ASan and TSan cannot share a build, hence the third tree; scope it to the
 # threaded suites to keep the pass quick.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Debug \
@@ -173,7 +175,7 @@ cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Debug \
 cmake --build build-tsan --target core_tests property_tests stability_tests \
   telemetry_tests svc_tests bgp_tests
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ParallelRunner|SweepDeterminism|ObsDeterminism|FaultSweepOracle|ShardedDeterminism|SlotDelivery|StabilityProperty|TelemetryProperty|TelemetryOracle|SvcService|SvcDaemon'
+  -R 'ParallelRunner|SweepDeterminism|ObsDeterminism|FaultSweepOracle|ShardedDeterminism|SlotDelivery|StabilityProperty|TelemetryProperty|TelemetryOracle|SvcService|SvcDaemon|LiveEntriesOracle'
 
 for b in build/bench/*; do
   echo "===== $(basename "$b") ====="

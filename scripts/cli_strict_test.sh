@@ -5,8 +5,8 @@
 # Usage: cli_strict_test.sh <rfdsim> <repro_scorecard> <ext_full_table> <rfdnetd>
 #
 # Registered in ctest as CliStrictParse (label: fast). Every case here exits
-# during argument handling, before any simulation work starts, so the whole
-# script runs in well under a second.
+# during argument handling or config validation, before any simulation work
+# starts, so the whole script runs in well under a second.
 set -u
 
 if [ "$#" -ne 4 ]; then
@@ -20,16 +20,16 @@ RFDNETD=$4
 
 failures=0
 
-# expect2 <description> <message-substring> <cmd...>
-# Asserts the command exits 2 and prints the substring on stderr.
-expect2() {
-  local desc=$1 needle=$2
-  shift 2
+# expect_exit <code> <description> <message-substring> <cmd...>
+# Asserts the command exits with <code> and prints the substring on stderr.
+expect_exit() {
+  local want=$1 desc=$2 needle=$3
+  shift 3
   local stderr rc
   stderr=$("$@" 2>&1 >/dev/null)
   rc=$?
-  if [ "$rc" -ne 2 ]; then
-    echo "FAIL: $desc — expected exit 2, got $rc ($*)" >&2
+  if [ "$rc" -ne "$want" ]; then
+    echo "FAIL: $desc — expected exit $want, got $rc ($*)" >&2
     failures=$((failures + 1))
     return
   fi
@@ -41,6 +41,9 @@ expect2() {
       ;;
   esac
 }
+
+# expect2 <description> <message-substring> <cmd...>: a flag error (exit 2).
+expect2() { expect_exit 2 "$@"; }
 
 # --- rfdsim: the flag-rich example ---------------------------------------
 expect2 "rfdsim rejects garbage --seed" "invalid value 'abc' for --seed" \
@@ -55,6 +58,12 @@ expect2 "rfdsim rejects duplicate --seed" "duplicate flag --seed" \
   "$RFDSIM" --seed 1 --seed 2
 expect2 "rfdsim rejects non-numeric --interval" \
   "invalid value 'fast' for --interval" "$RFDSIM" --interval fast
+# Config errors surface from validation before the run, with exit 1; a
+# finite MRAI too long for the microsecond clock fails like a negative one.
+expect_exit 1 "rfdsim rejects negative --mrai" "error: TimingConfig:" \
+  "$RFDSIM" --mrai -1
+expect_exit 1 "rfdsim rejects an --mrai past the clock" \
+  "error: TimingConfig: mrai_s" "$RFDSIM" --mrai 1e300
 
 # --- repro_scorecard: the --jobs contract (configure_from_args) -----------
 expect2 "repro_scorecard rejects --jobs 0" "invalid value '0' for --jobs" \
@@ -75,6 +84,13 @@ expect2 "ext_full_table rejects --trace-format" \
   "--trace-format is not supported" "$FULL_TABLE" --trace-format jsonl
 expect2 "ext_full_table rejects --profile" "--profile is not supported" \
   "$FULL_TABLE" --profile -
+expect2 "ext_full_table rejects a negative --interval" \
+  "event interval must be > 0" "$FULL_TABLE" --interval -1
+expect2 "ext_full_table rejects a negative --cooldown" "cooldown < 0" \
+  "$FULL_TABLE" --cooldown -1
+expect2 "ext_full_table rejects an --interval past the clock" \
+  "event_interval_s must be finite and at most 1e9 s" \
+  "$FULL_TABLE" --interval 1e300
 
 # --- rfdnetd: daemon flags -------------------------------------------------
 expect2 "rfdnetd rejects garbage --queue" "invalid value 'abc' for --queue" \

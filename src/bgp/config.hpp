@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/time.hpp"
+
 namespace rfdnet::bgp {
 
 /// Timing knobs of the protocol engine. The defaults are tuned to the
@@ -49,6 +51,16 @@ struct TimingConfig {
     if (mrai_s < 0) throw std::invalid_argument("TimingConfig: negative MRAI");
     if (mrai_jitter_min <= 0 || mrai_jitter_max < mrai_jitter_min) {
       throw std::invalid_argument("TimingConfig: bad MRAI jitter range");
+    }
+    if (!sim::span_fits_clock(proc_delay_min_s) ||
+        !sim::span_fits_clock(proc_delay_max_s)) {
+      throw std::invalid_argument(
+          "TimingConfig: processing delay must be finite and at most 1e9 s");
+    }
+    if (!sim::span_fits_clock(mrai_s * mrai_jitter_max)) {
+      throw std::invalid_argument(
+          "TimingConfig: mrai_s x mrai_jitter_max must be finite and at most "
+          "1e9 s");
     }
   }
 };

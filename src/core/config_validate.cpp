@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/time.hpp"
+
 namespace rfdnet::core {
 
 void validate_stability_gap(bool collect_stability, double gap_s,
@@ -25,10 +27,17 @@ void validate_telemetry(double telemetry_period_s, double heartbeat_s,
       throw std::invalid_argument(who +
                                   ": telemetry period must be >= 1 microsecond");
     }
+    validate_span(telemetry_period_s, who + ": telemetry period");
   }
   if (heartbeat_s != 0.0 &&
       !(std::isfinite(heartbeat_s) && heartbeat_s > 0)) {
     throw std::invalid_argument(who + ": heartbeat period must be > 0");
+  }
+}
+
+void validate_span(double seconds, const std::string& what) {
+  if (!sim::span_fits_clock(seconds)) {
+    throw std::invalid_argument(what + " must be finite and at most 1e9 s");
   }
 }
 

@@ -16,9 +16,15 @@ void validate_stability_gap(bool collect_stability, double gap_s,
 
 /// Telemetry knobs: `telemetry_period_s` and `heartbeat_s` are off at 0 and
 /// must otherwise be finite, strictly positive and (for the telemetry grid,
-/// which lives on the integer-microsecond clock) at least one microsecond.
+/// which lives on the integer-microsecond clock) between one microsecond
+/// and `sim::kMaxSpanS`.
 /// Throws `std::invalid_argument` with a `"<who>: ..."` message.
 void validate_telemetry(double telemetry_period_s, double heartbeat_s,
                         const std::string& who);
+
+/// A span of `seconds` on the simulated clock must be finite and within
+/// `sim::kMaxSpanS`; throws `std::invalid_argument` with
+/// `"<what> must be finite and at most 1e9 s"` otherwise.
+void validate_span(double seconds, const std::string& what);
 
 }  // namespace rfdnet::core

@@ -85,6 +85,17 @@ void ExperimentConfig::validate() const {
   if (alt_fraction > 0 && !damping_alt) {
     throw std::invalid_argument("experiment: alt_fraction needs damping_alt");
   }
+  // Spans on the clock; their sum must not wrap it.
+  validate_span(flap_interval_s, "experiment: flap_interval_s");
+  validate_span(pulses * flap_interval_s,
+                "experiment: pulses x flap_interval_s");
+  validate_span(max_sim_s, "experiment: max_sim_s");
+  validate_span(bin_width_s, "experiment: bin_width_s");
+  validate_span(topology.link_delay_s, "experiment: link_delay_s");
+  if (freeze_penalties_after_s) {
+    validate_span(*freeze_penalties_after_s,
+                  "experiment: freeze_penalties_after_s");
+  }
   if (damping) damping->validate();
   if (damping_alt) damping_alt->validate();
   timing.validate();

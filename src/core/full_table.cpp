@@ -37,6 +37,11 @@ void FullTableConfig::validate() const {
   validate_stability_gap(collect_stability, stability_gap_s, "full-table");
   validate_telemetry(telemetry_period_s, heartbeat_s, "full-table");
   if (cooldown_s < 0) throw std::invalid_argument("full-table: cooldown < 0");
+  // Spans on the clock; their sum must not wrap it.
+  validate_span(event_interval_s, "full-table: event_interval_s");
+  validate_span(static_cast<double>(events) * event_interval_s + cooldown_s,
+                "full-table: events x event_interval_s + cooldown_s");
+  validate_span(link_delay_s, "full-table: link_delay_s");
   if (shards < 0) throw std::invalid_argument("full-table: shards < 0");
   timing.validate();
   if (damping) damping->validate();

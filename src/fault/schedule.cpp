@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "sim/time.hpp"
+
 namespace rfdnet::fault {
 
 namespace {
@@ -252,6 +254,11 @@ void FaultSchedule::validate() const {
     if (!std::isfinite(ev.extra_delay_s) || ev.extra_delay_s < 0.0) {
       throw std::invalid_argument("fault schedule: extra delay must be finite and >= 0");
     }
+    if (!sim::span_fits_clock(ev.t_s + ev.duration_s) ||
+        !sim::span_fits_clock(ev.extra_delay_s)) {
+      throw std::invalid_argument(
+          "fault schedule: time + duration and delay must be at most 1e9 s");
+    }
     const bool link_fault = ev.kind == FaultKind::kLinkDown ||
                             ev.kind == FaultKind::kLinkUp ||
                             ev.kind == FaultKind::kLinkFlap ||
@@ -319,6 +326,15 @@ void StormOptions::validate() const {
   }
   if (extra_delay_s < 0.0 || !std::isfinite(extra_delay_s)) {
     throw std::invalid_argument("StormOptions: extra_delay_s must be >= 0");
+  }
+  // The last outage starts before the horizon and lasts at most 37 means
+  // (-ln 2^-53 ~ 36.7, the largest exponential draw), so every generated
+  // schedule passes `FaultSchedule::validate`.
+  if (!sim::span_fits_clock(horizon_s + 37.0 * mean_down_s) ||
+      !sim::span_fits_clock(extra_delay_s)) {
+    throw std::invalid_argument(
+        "StormOptions: horizon_s + 37 x mean_down_s and extra_delay_s must be "
+        "at most 1e9 s");
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -41,8 +42,10 @@ DampingModule::DampingModule(net::NodeId self, std::vector<net::NodeId> peer_ids
 }
 
 DampingModule::~DampingModule() {
-  // Cancel outstanding reuse events: their callbacks capture `this`.
-  // Ordered so the engine sees the same cancel sequence on every backend.
+  // Cancel outstanding reuse events: their callbacks capture `this`. Only a
+  // suppressed entry holds one (`check_invariants`). Ordered so the engine
+  // sees the same cancel sequence on every backend.
+  if (suppressed_count_ == 0) return;
   entries_.for_each_ordered([&](bgp::Prefix, std::vector<Entry>& entries) {
     for (auto& e : entries) {
       if (e.reuse_event != sim::kInvalidEvent) engine_.cancel(e.reuse_event);
@@ -135,7 +138,7 @@ void DampingModule::on_update(int slot, const bgp::UpdateMessage& msg,
 
   double inc = increment_for(cls);
   if (loop_denied && !params_.charge_loop_denied) inc = 0.0;
-  if (charge_deadline_ && now > *charge_deadline_) inc = 0.0;
+  if (now > charge_deadline_) inc = 0.0;
 
   // Selective damping: a degrading announcement is presumed to be path
   // exploration and passes penalty-free.
@@ -177,6 +180,10 @@ void DampingModule::on_update(int slot, const bgp::UpdateMessage& msg,
     prune_decayed(*e);
   }
 
+  if (e->penalty.is_zero()) {
+    if (live_ == 0) exact_until_ = exact_until(now);
+    ++live_;
+  }
   e->penalty.add(inc, now, lambda, params_.ceiling());
   const double value = e->penalty.at(now, lambda);
   RFDNET_INVARIANT(value >= 0.0 && value <= params_.ceiling(),
@@ -243,7 +250,29 @@ void DampingModule::prune_decayed(Entry& e) {
   }
   e.supp_span = obs::SpanContext{};
   e.reuse_at = sim::SimTime::zero();
+  if (!e.penalty.is_zero()) --live_;
   e.penalty.reset();
+}
+
+sim::SimTime DampingModule::exact_until(sim::SimTime first) const {
+  // Every charge stores at least `v_min`: the smallest positive increment,
+  // or the ceiling it is clamped to. A stored v reads v * e^(-lambda t),
+  // which is nonzero while it stays above denorm_min; e^(-lambda t) itself
+  // underflows there whatever v is, so v > 1 earns no extra time. The 1%
+  // margin absorbs the rounding of lambda t.
+  double v_min = params_.ceiling();
+  for (const double inc : {params_.withdrawal_penalty,
+                           params_.reannouncement_penalty,
+                           params_.attr_change_penalty}) {
+    if (inc > 0.0) v_min = std::min(v_min, inc);
+  }
+  const double z = 0.99 *
+                   (std::min(std::log(v_min), 0.0) -
+                    std::log(std::numeric_limits<double>::denorm_min())) /
+                   params_.lambda();
+  if (!(z > 0.0)) return first;  // NaN parameters: always walk
+  const double room = (sim::SimTime::max() - first).as_seconds() - 1.0;
+  return z < room ? first + sim::Duration::seconds(z) : sim::SimTime::max();
 }
 
 void DampingModule::schedule_reuse(Entry& e, int slot, bgp::Prefix p) {
@@ -287,8 +316,10 @@ void DampingModule::fire_reuse(int slot, bgp::Prefix p) {
     spans_->close(e.supp_span, t);
     reuse_sc = spans_->child_instant(e.supp_span, "rfd.reuse", t, self_,
                                      peer_ids_.at(slot), p);
-    e.supp_span = obs::SpanContext{};
   }
+  // Cleared even with no tracer attached: only a suppressed entry may hold
+  // a span, which is what lets `reset` skip unsuppressed modules.
+  e.supp_span = obs::SpanContext{};
   if (timeline_) {
     timeline_->on_reuse(engine_.now().as_seconds(), self_, peer_ids_.at(slot),
                         p);
@@ -313,18 +344,24 @@ bool DampingModule::suppressed(int slot, bgp::Prefix p) const {
 }
 
 void DampingModule::reset() {
-  // Ordered: span closes emit trace records, whose order must not depend on
-  // the storage backend.
-  entries_.for_each_ordered([&](bgp::Prefix, std::vector<Entry>& entries) {
-    for (auto& e : entries) {
-      if (e.reuse_event != sim::kInvalidEvent) engine_.cancel(e.reuse_event);
-      if (spans_ && e.supp_span.valid()) {
-        spans_->close(e.supp_span, engine_.now().as_seconds());
+  // Only a suppressed entry holds a reuse timer or an open span, so with
+  // none suppressed there is nothing to cancel or close. Ordered: span
+  // closes emit trace records, whose order must not depend on the storage
+  // backend.
+  if (suppressed_count_ > 0) {
+    entries_.for_each_ordered([&](bgp::Prefix, std::vector<Entry>& entries) {
+      for (auto& e : entries) {
+        if (e.reuse_event != sim::kInvalidEvent) engine_.cancel(e.reuse_event);
+        if (spans_ && e.supp_span.valid()) {
+          spans_->close(e.supp_span, engine_.now().as_seconds());
+        }
       }
-    }
-  });
+    });
+  }
   entries_.clear();
   suppressed_count_ = 0;
+  live_ = 0;
+  forced_ = false;
   for (auto& h : rcn_history_) h.clear();
 }
 
@@ -345,6 +382,17 @@ std::size_t DampingModule::active_entries() const {
 }
 
 std::size_t DampingModule::active_entries(sim::SimTime now) const {
+  // `live_` is exact until its oldest counted charge can have decayed to
+  // 0.0; past that (or after a forced penalty) only the walk is.
+  if (forced_ || (live_ > 0 && !(now < exact_until_))) {
+    return active_entries_walk(now);
+  }
+  RFDNET_INVARIANT(live_ == active_entries_walk(now),
+                   "rfd: live-entry count disagrees with the walk");
+  return live_;
+}
+
+std::size_t DampingModule::active_entries_walk(sim::SimTime now) const {
   const double lambda = params_.lambda();
   std::size_t live = 0;
   entries_.for_each([&](bgp::Prefix, const std::vector<Entry>& entries) {
@@ -359,8 +407,10 @@ void DampingModule::check_invariants() const {
   const sim::SimTime now = engine_.now();
   const double lambda = params_.lambda();
   int suppressed = 0;
+  std::size_t live = 0;
   entries_.for_each([&](bgp::Prefix, const std::vector<Entry>& entries) {
     for (const Entry& e : entries) {
+      if (!e.penalty.is_zero()) ++live;
       const double value = e.penalty.at(now, lambda);
       obs::check_always(value >= 0.0, "rfd: negative penalty");
       obs::check_always(value <= params_.ceiling(),
@@ -377,15 +427,23 @@ void DampingModule::check_invariants() const {
         // into a later suppression episode.
         obs::check_always(e.reuse_event == sim::kInvalidEvent,
                           "rfd: unsuppressed entry holds a live reuse timer");
+        obs::check_always(!e.supp_span.valid(),
+                          "rfd: unsuppressed entry holds an open span");
       }
     }
   });
   obs::check_always(suppressed == suppressed_count_,
                     "rfd: suppressed count out of sync with entries");
+  obs::check_always(live == live_,
+                    "rfd: live-entry count out of sync with entries");
 }
 
 void DampingModule::debug_set_penalty(int slot, bgp::Prefix p, double value) {
-  entry(slot, p).penalty.force(value, engine_.now());
+  PenaltyState& s = entry(slot, p).penalty;
+  if (!s.is_zero()) --live_;
+  s.force(value, engine_.now());
+  if (!s.is_zero()) ++live_;
+  forced_ = true;
 }
 
 }  // namespace rfdnet::rfd

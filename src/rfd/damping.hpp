@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -103,13 +104,21 @@ class DampingModule final : public bgp::DampingHook {
   /// Number of (slot, prefix) entries whose penalty state is live right now
   /// (non-zero penalty or suppressed) — what the RFC 2439 memory limit
   /// bounds. `tracked_entries` additionally counts rows kept only for their
-  /// `ever_announced` flag. O(tracked) walk; reporting cadence only.
+  /// `ever_announced` flag. O(1): a counter of nonzero stored penalties,
+  /// kept where they change. A stored penalty decays to exactly 0.0 only
+  /// about 1060 half-lives after its charge (about 11 days with Cisco
+  /// parameters), so the counter answers until its oldest charge may be
+  /// that old; past that, and after `debug_set_penalty`, this walks.
   std::size_t active_entries() const;
   /// Same count with penalty decay evaluated at an explicit instant instead
   /// of the engine clock. The telemetry probes use this: at a barrier-
   /// aligned sample instant a shard's own clock sits at its last executed
   /// event, which depends on the partition — the grid instant does not.
   std::size_t active_entries(sim::SimTime now) const;
+  /// The same count by an O(tracked) walk that evaluates every penalty at
+  /// `now`: the oracle `active_entries` is checked against (tests, and every
+  /// call while `obs::invariants_enabled()`).
+  std::size_t active_entries_walk(sim::SimTime now) const;
   /// Entry store backend this module runs on.
   bgp::RibBackendKind rib_backend() const { return entries_.kind(); }
 
@@ -131,14 +140,16 @@ class DampingModule final : public bgp::DampingHook {
   void set_phase_timeline(obs::PhaseTimeline* t) { timeline_ = t; }
 
   /// Audit: every penalty lies in [0, ceiling], every suppressed entry has a
-  /// live reuse event scheduled at its recorded reuse time, and the
-  /// suppressed count matches the entry flags. Throws
-  /// `obs::InvariantViolation` on breakage; always runs.
+  /// live reuse event scheduled at its recorded reuse time, no unsuppressed
+  /// entry holds a reuse event or an open span, and the suppressed and live
+  /// counts match the entries. Throws `obs::InvariantViolation` on breakage;
+  /// always runs.
   void check_invariants() const;
 
   /// Test-only back door: overwrite the stored penalty of (slot, p) with an
   /// arbitrary (possibly invalid) value stamped `now`, creating the entry if
   /// needed. Exists so tests can seed a violation for `check_invariants`.
+  /// Until the next `reset`, `active_entries` walks.
   void debug_set_penalty(int slot, bgp::Prefix p, double value);
 
  private:
@@ -164,6 +175,9 @@ class DampingModule final : public bgp::DampingHook {
   /// definition.
   void prune_decayed(Entry& e);
   void schedule_reuse(Entry& e, int slot, bgp::Prefix p);
+  /// `exact_until_` for a first charge at `first`: every counted penalty
+  /// was then stamped at or after `first`, with at least the smallest charge.
+  sim::SimTime exact_until(sim::SimTime first) const;
   void fire_reuse(int slot, bgp::Prefix p);
 
   net::NodeId self_;
@@ -179,12 +193,20 @@ class DampingModule final : public bgp::DampingHook {
 
   bool rcn_enabled_ = false;
   bool selective_enabled_ = false;
-  std::optional<sim::SimTime> charge_deadline_;
+  /// Set by `debug_set_penalty`, whose values may be anything.
+  bool forced_ = false;
+  sim::SimTime charge_deadline_ = sim::SimTime::max();
+  /// Until this instant no counted penalty can read 0.0, so `live_` equals
+  /// the walk; set at the first charge since `live_` was last zero.
+  sim::SimTime exact_until_;
   std::vector<rcn::RootCauseHistory> rcn_history_;  // per slot
 
   // entries_[p] is indexed by peer slot; storage backend per `rib_backend()`.
   bgp::RibTable<std::vector<Entry>> entries_;
   int suppressed_count_ = 0;
+  /// Entries whose stored penalty is nonzero; changes only where a stored
+  /// value does (a charge from zero, the prune, `reset`, the back door).
+  std::uint32_t live_ = 0;
 };
 
 }  // namespace rfdnet::rfd

@@ -5,6 +5,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "sim/time.hpp"
+
 namespace rfdnet::rfd {
 
 DampingParams DampingParams::cisco() {
@@ -41,6 +43,14 @@ void DampingParams::validate() const {
   }
   if (reuse_granularity_s < 0) {
     throw std::invalid_argument("DampingParams: negative granularity");
+  }
+  // Spans on the clock: reuse timers are scheduled from them.
+  if (!sim::span_fits_clock(half_life_s) ||
+      !sim::span_fits_clock(max_suppress_s) ||
+      !sim::span_fits_clock(reuse_granularity_s)) {
+    throw std::invalid_argument(
+        "DampingParams: half-life, max hold-down and granularity must be "
+        "finite and at most 1e9 s");
   }
   if (ceiling() <= cutoff) {
     // A ceiling at or below the cut-off would make suppression impossible.

@@ -8,6 +8,17 @@
 
 namespace rfdnet::sim {
 
+/// Longest span, in seconds, that a config may put on the clock (about 32
+/// years). `Duration` holds about ±9.2e12 s, so a run's sum of such spans
+/// stays far inside it; past the range `Duration::seconds` has no defined
+/// result. Configs reject longer and non-finite spans.
+inline constexpr double kMaxSpanS = 1e9;
+
+/// Whether `s` seconds is finite and within ±`kMaxSpanS`.
+inline bool span_fits_clock(double s) {
+  return std::isfinite(s) && std::fabs(s) <= kMaxSpanS;
+}
+
 /// Length of simulated time with microsecond resolution.
 ///
 /// All simulation timing uses integer microseconds internally so that event

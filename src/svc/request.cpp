@@ -347,6 +347,7 @@ std::optional<JobSpec> parse_job(const Json& job, std::string* error) {
       spec.experiment.collect_stability = spec.want_stability;
       spec.experiment.stability_gap_s = gap;
       spec.experiment.telemetry_period_s = spec.want_telemetry ? telemetry_s : 0;
+      spec.experiment.validate();
     } else {
       spec.full_table.collect_stability = spec.want_stability;
       spec.full_table.stability_gap_s = gap;

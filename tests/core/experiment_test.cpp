@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/intended.hpp"
 #include "core/sharded.hpp"
@@ -260,6 +263,37 @@ TEST(Experiment, FlapJitterValidation) {
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
   cfg.flap_jitter = -0.1;
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+TEST(Experiment, SpansPastTheClockAreRejected) {
+  // Each of these is finite but would wrap the microsecond clock (or, for
+  // NaN and infinity, has no tick at all); MRAI 1e300 used to run with MRAI
+  // silently off.
+  const double huge = 1e300;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<ExperimentConfig> bad(9, small_mesh(1));
+  bad[0].timing.mrai_s = huge;
+  bad[1].timing.proc_delay_max_s = inf;
+  bad[2].flap_interval_s = huge;
+  bad[3].pulses = 1000;
+  bad[3].flap_interval_s = 2e6;  // fine alone, 2e9 s in total
+  bad[4].max_sim_s = std::nan("");
+  bad[5].topology.link_delay_s = huge;
+  bad[6].freeze_penalties_after_s = huge;
+  bad[7].telemetry_period_s = huge;
+  bad[8].damping->half_life_s = huge;
+  for (const ExperimentConfig& cfg : bad) {
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  }
+  ExperimentConfig ok = small_mesh(1);
+  ok.max_sim_s = 1e9;  // the cap itself is legal
+  EXPECT_NO_THROW(ok.validate());
+  try {
+    bad[0].validate();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("mrai_s"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Experiment, BadFlapValuesAreRejectedBeforeTheWarmUp) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -39,6 +41,23 @@ TEST(FullTable, ValidationRejectsBadParameters) {
   cfg = small_config();
   cfg.event_interval_s = 0.0;
   EXPECT_THROW(run_full_table(cfg), std::invalid_argument);
+  // Spans the microsecond clock cannot hold.
+  cfg = small_config();
+  cfg.event_interval_s = 1e300;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = small_config();
+  cfg.events = 5000000;
+  cfg.event_interval_s = 1000.0;  // 5e9 s of toggles
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = small_config();
+  cfg.cooldown_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = small_config();
+  cfg.link_delay_s = std::nan("");
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = small_config();
+  cfg.timing.mrai_s = 1e300;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(FullTable, ChurnRunsAndResidencyStaysBounded) {

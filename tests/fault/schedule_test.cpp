@@ -79,6 +79,23 @@ TEST(FaultSchedule, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(FaultSchedule::parse("@10 link-down 2-3 drop=0.5"),
                std::invalid_argument);
+  // Finite, but past what the microsecond clock holds.
+  EXPECT_THROW(FaultSchedule::parse("@1e300 link-flap 2-3 for 30"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultSchedule::parse("@10 link-flap 2-3 for 1e300"),
+               std::invalid_argument);
+}
+
+TEST(StormGenerator, RejectsSpansPastTheClock) {
+  StormOptions opt;
+  opt.mean_down_s = 1e300;
+  EXPECT_THROW(opt.validate(), std::invalid_argument);
+  opt = StormOptions{};
+  opt.horizon_s = 2e9;
+  EXPECT_THROW(opt.validate(), std::invalid_argument);
+  opt = StormOptions{};
+  opt.extra_delay_s = 1e300;
+  EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 
 TEST(FaultSchedule, StopTimeCoversDurations) {

@@ -459,6 +459,111 @@ TEST_F(DampingModuleTest, MemoryLimitPruneForgetsTimerFreight) {
   EXPECT_NO_THROW(module_->check_invariants());
 }
 
+// The live-entry counter against the walk it replaces. Each prefix gets one
+// withdrawal of an announced route (one charge of P_W) at `t_s`.
+class LiveEntriesTest : public DampingModuleTest {
+ protected:
+  void charge(bgp::Prefix p, double t_s) {
+    at(t_s);
+    module_->on_update(0, UpdateMessage::announce(p, route(1)), {}, false);
+    module_->on_update(0, UpdateMessage::withdraw(p), route(1), false);
+  }
+  /// `active_entries` at `t_s`, checked against the walk.
+  std::size_t active(double t_s) {
+    const SimTime now = SimTime::from_seconds(t_s);
+    const std::size_t walk = module_->active_entries_walk(now);
+    EXPECT_EQ(module_->active_entries(now), walk) << "at t=" << t_s;
+    return walk;
+  }
+  /// Half-life 1 s puts the 0.0 crossing about 1075 s after a charge.
+  static DampingParams fast_decay() {
+    DampingParams p;
+    p.half_life_s = 1.0;
+    p.max_suppress_s = 4.0;  // ceiling 12000, as with Cisco
+    return p;
+  }
+};
+
+TEST_F(LiveEntriesTest, CountFollowsChargesPrunesAndReset) {
+  make();
+  EXPECT_EQ(active(0.0), 0u);
+  charge(1, 0.0);
+  charge(2, 10.0);
+  charge(2, 20.0);  // a second charge of a live entry adds nothing
+  EXPECT_EQ(active(20.0), 2u);
+  // Prefix 1 decays below reuse / 2 by t = 2000; its next charge prunes it
+  // and starts again from zero, so the count stays at two.
+  charge(1, 2000.0);
+  EXPECT_EQ(active(2000.0), 2u);
+  module_->check_invariants();
+  module_->reset();
+  EXPECT_EQ(active(2000.0), 0u);
+  charge(3, 2001.0);
+  EXPECT_EQ(active(2001.0), 1u);
+  module_->check_invariants();
+}
+
+TEST_F(LiveEntriesTest, PenaltiesThatReachZeroLeaveTheCount) {
+  make(fast_decay());
+  charge(1, 0.0);
+  charge(2, 500.0);
+  EXPECT_EQ(active(1000.0), 2u);  // inside the horizon: the counter
+  // Past 1075 s prefix 1 reads exactly 0.0 but is still stored nonzero.
+  at(1100.0);
+  EXPECT_EQ(module_->penalty(0, 1), 0.0);
+  EXPECT_EQ(active(1100.0), 1u);
+  EXPECT_EQ(active(1600.0), 0u);
+  // The prune of prefix 1 and a fresh charge keep the two paths equal.
+  charge(1, 1600.0);
+  EXPECT_EQ(active(1600.0), 1u);
+  EXPECT_EQ(active(2000.0), 1u);
+  module_->check_invariants();
+}
+
+TEST_F(LiveEntriesTest, LargeChargesGetNoLongerHorizon) {
+  // A charge above 1 does not postpone the 0.0 crossing: e^(-lambda t)
+  // itself underflows at lambda t ~ 745.1 (t ~ 1075 s here), whatever the
+  // stored value. A horizon credited with ln(12000) would reach 1076.7 s.
+  DampingParams p = fast_decay();
+  p.withdrawal_penalty = 20000.0;  // clamped to the 12000 ceiling
+  p.attr_change_penalty = 0.0;
+  make(p);
+  charge(1, 0.0);
+  at(1076.0);  // the reuse fired long ago
+  EXPECT_EQ(module_->penalty(0, 1), 0.0);
+  EXPECT_EQ(active(1076.0), 0u);
+  module_->check_invariants();
+}
+
+TEST_F(LiveEntriesTest, ForcedPenaltiesAreCountedByTheWalk) {
+  make();
+  module_->debug_set_penalty(0, 1, -5.0);  // stored nonzero, reads negative
+  EXPECT_EQ(active(0.0), 0u);
+  module_->reset();
+  charge(1, 1.0);
+  EXPECT_EQ(active(1.0), 1u);
+}
+
+TEST_F(LiveEntriesTest, ReuseWithoutATracerClosesNothingButClearsTheSpan) {
+  make();
+  obs::SpanTracer tracer;
+  tracer.push_active(tracer.root("flap", 0.0, 0, 0, 0));
+  module_->set_span_tracer(&tracer);
+  announce(route(1), 0.0);
+  withdraw(1.0);
+  announce(route(1), 2.0);
+  withdraw(3.0);
+  announce(route(1), 4.0);
+  withdraw(5.0);
+  ASSERT_TRUE(module_->suppressed(0, kP));
+  // Detached before the reuse: the entry must still drop its span, or a
+  // later reset would have to walk unsuppressed entries to close it.
+  module_->set_span_tracer(nullptr);
+  engine_.run();
+  ASSERT_EQ(reuse_calls_.size(), 1u);
+  EXPECT_NO_THROW(module_->check_invariants());
+}
+
 TEST(UpdateClassNames, ToString) {
   EXPECT_EQ(to_string(UpdateClass::kInitial), "initial");
   EXPECT_EQ(to_string(UpdateClass::kWithdrawal), "withdrawal");

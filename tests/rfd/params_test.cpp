@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace rfdnet::rfd {
@@ -77,6 +78,19 @@ TEST(DampingParams, RejectsNonPositiveTimes) {
   p = DampingParams{};
   p.reuse_granularity_s = -1;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(DampingParams, RejectsTimesPastTheClock) {
+  for (double DampingParams::*field :
+       {&DampingParams::half_life_s, &DampingParams::max_suppress_s,
+        &DampingParams::reuse_granularity_s}) {
+    for (const double v : {1e300, std::numeric_limits<double>::infinity(),
+                           std::nan("")}) {
+      DampingParams p;
+      p.*field = v;
+      EXPECT_THROW(p.validate(), std::invalid_argument) << v;
+    }
+  }
 }
 
 TEST(DampingParams, RejectsCeilingBelowCutoff) {

@@ -118,6 +118,11 @@ TEST(SvcRequest, RejectsBadJobs) {
   expect_error("{\"kind\":\"full_table\",\"outputs\":[\"result\"]}",
                "experiment-only");
   expect_error("{\"kind\":\"full_table\",\"routers\":1}", "out of range");
+  // Finite spans the microsecond clock cannot hold.
+  expect_error("{\"mrai_s\":1e300}", "mrai_s");
+  expect_error("{\"pulses\":2,\"interval_s\":1e300}", "flap_interval_s");
+  expect_error("{\"kind\":\"full_table\",\"event_interval_s\":1e300}",
+               "event_interval_s");
 
   // Positive control: faults are legal on a serial experiment.
   const auto ok = parse_text(

@@ -68,6 +68,21 @@ TEST(SvcService, PingStatusAndBadRequests) {
            400);  // telemetry without a period
   is_error("{\"op\":\"run\",\"job\":{\"shards\":2,\"faults\":"
            "\"@60 link-flap 2-3 for 30\"}}", 400);  // faults are serial-only
+
+  // Spans past the clock's range are refused with the field's message, not
+  // run into a wrapped clock (or cached as a success).
+  for (const auto& [line, field] :
+       {std::pair<std::string, std::string>{
+            "{\"op\":\"run\",\"job\":{\"mrai_s\":1e300}}", "mrai_s"},
+        {"{\"op\":\"run\",\"job\":{\"kind\":\"full_table\","
+         "\"event_interval_s\":1e300}}",
+         "event_interval_s"}}) {
+    is_error(line, 400);
+    const auto j = Json::parse(svc.handle_line(line));
+    ASSERT_TRUE(j);
+    EXPECT_NE(j->find("error")->find("message")->as_string().find(field),
+              std::string::npos);
+  }
 }
 
 TEST(SvcService, CacheHitServesIdenticalBytesAndComputesOnce) {
