@@ -22,10 +22,13 @@
 //
 // With --fault-schedule the given scripted schedule (see
 // fault::FaultSchedule::parse for the grammar) runs once instead of the
-// rate sweep. Output is byte-identical for any --jobs value.
+// rate sweep. Output is byte-identical for any --jobs value. A rejected
+// option or schedule exits 2 with its message before anything runs.
 
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
@@ -35,13 +38,20 @@
 
 namespace {
 
+/// The comma-separated rates, each parsed strictly; throws on a bad one.
 std::vector<double> parse_rates(const std::string& csv) {
   std::vector<double> rates;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) rates.push_back(std::stod(item));
+    if (item.empty()) continue;
+    const std::optional<double> rate = rfdnet::core::parse_double_token(item);
+    if (!rate) {
+      throw std::invalid_argument("invalid rate '" + item + "' in --rates");
+    }
+    rates.push_back(*rate);
   }
+  if (rates.empty()) throw std::invalid_argument("--rates names no rate");
   return rates;
 }
 
@@ -49,7 +59,6 @@ std::vector<double> parse_rates(const std::string& csv) {
 
 int main(int argc, char** argv) {
   rfdnet::core::ParallelRunner::configure_from_args(argc, argv);
-  const rfdnet::core::ObsScope obs(argc, argv);
   using namespace rfdnet;
 
   core::ArgParser args({"metrics", "stability"},
@@ -82,11 +91,39 @@ int main(int argc, char** argv) {
     base.stability_gap_s = args.get_double("stability-gap", 30.0);
   }
 
+  fault::StormOptions storm;
+  storm.mean_down_s = args.get_double("fault-mean-down", 30.0);
+  storm.drop_prob = args.get_double("fault-drop", 0.05);
+  storm.extra_delay_s = args.get_double("fault-delay", 0.05);
+  storm.horizon_s = args.get_double("fault-horizon", 600.0);
+  const int seeds = args.get_int("seeds", 3);
+  std::vector<double> rates;
+  // Rejected once, like a bad flag, before any run or the scope opens.
+  try {
+    fault::FaultPlan plan;
+    if (args.has("fault-schedule")) {
+      plan.script = args.get("fault-schedule");
+      fault::FaultSchedule::parse(*plan.script);  // parses and validates
+    } else {
+      rates = parse_rates(args.get("rates", "0.005,0.01,0.02,0.05"));
+      if (seeds < 1) throw std::invalid_argument("--seeds must be >= 1");
+      for (const double rate : rates) {
+        fault::StormOptions trial = storm;
+        trial.rate_per_s = rate;
+        trial.validate();
+      }
+      plan.storm = storm;
+    }
+    base.faults = plan;
+    base.validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "ext_fault_storm: " << e.what() << "\n";
+    return 2;
+  }
+  const core::ObsScope obs(argc, argv);
+
   if (args.has("fault-schedule")) {
     std::cout << "Extension: scripted fault schedule (100-node mesh)\n\n";
-    fault::FaultPlan plan;
-    plan.script = args.get("fault-schedule");
-    base.faults = plan;
     const auto r = core::run_experiment(base);
     core::TextTable t({"faults", "convergence (s)", "messages", "dropped",
                        "suppressions", "noisy reuses"});
@@ -102,19 +139,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-
-  fault::StormOptions storm;
-  storm.mean_down_s = args.get_double("fault-mean-down", 30.0);
-  storm.drop_prob = args.get_double("fault-drop", 0.05);
-  storm.extra_delay_s = args.get_double("fault-delay", 0.05);
-  storm.horizon_s = args.get_double("fault-horizon", 600.0);
-  fault::FaultPlan plan;
-  plan.storm = storm;
-  base.faults = plan;
-
-  const std::vector<double> rates =
-      parse_rates(args.get("rates", "0.005,0.01,0.02,0.05"));
-  const int seeds = args.get_int("seeds", 3);
 
   std::cout << "Extension: fault storms (100-node mesh, " << seeds
             << " seed(s)/rate, horizon " << storm.horizon_s << " s)\n\n";

@@ -61,7 +61,7 @@ FIG07_START=$(date +%s.%N)
   >/dev/null
 FIG07_END=$(date +%s.%N)
 
-echo "running ext_full_table (hash+radix cross-check)..." >&2
+echo "running ext_full_table (hash and null)..." >&2
 FT_START=$(date +%s.%N)
 ./build/bench/ext_full_table --prefixes 20000 --events 20000 >/dev/null
 FT_END=$(date +%s.%N)
@@ -110,8 +110,7 @@ out = {
         "profile": profile,
     },
     "ext_full_table": {
-        # Wall time covers the hash + radix + null runs plus the scorecard
-        # cross-check.
+        # Wall time covers the hash and null runs.
         "wall_s": round(float(ft1) - float(ft0), 3),
     },
 }

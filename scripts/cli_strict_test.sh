@@ -3,20 +3,23 @@
 # exit code 2 and a per-flag message, on real binaries (not just unit tests).
 #
 # Usage: cli_strict_test.sh <rfdsim> <repro_scorecard> <ext_full_table> <rfdnetd>
+#                           <ext_fault_storm>
 #
 # Registered in ctest as CliStrictParse (label: fast). Every case here exits
 # during argument handling or config validation, before any simulation work
 # starts, so the whole script runs in well under a second.
 set -u
 
-if [ "$#" -ne 4 ]; then
-  echo "usage: $0 <rfdsim> <repro_scorecard> <ext_full_table> <rfdnetd>" >&2
+if [ "$#" -ne 5 ]; then
+  echo "usage: $0 <rfdsim> <repro_scorecard> <ext_full_table> <rfdnetd>" \
+    "<ext_fault_storm>" >&2
   exit 2
 fi
 RFDSIM=$1
 SCORECARD=$2
 FULL_TABLE=$3
 RFDNETD=$4
+FAULT_STORM=$5
 
 failures=0
 
@@ -91,6 +94,25 @@ expect2 "ext_full_table rejects a negative --cooldown" "cooldown < 0" \
 expect2 "ext_full_table rejects an --interval past the clock" \
   "event_interval_s must be finite and at most 1e9 s" \
   "$FULL_TABLE" --interval 1e300
+expect2 "ext_full_table rejects an unknown --rib-backend" \
+  "unknown --rib-backend 'btree' (hash|null)" "$FULL_TABLE" --rib-backend btree
+
+# --- ext_fault_storm: storm options and schedules, checked before any run --
+expect2 "ext_fault_storm rejects a negative --fault-mean-down" \
+  "ext_fault_storm: StormOptions: mean_down_s must be > 0" \
+  "$FAULT_STORM" --fault-mean-down -1
+expect2 "ext_fault_storm rejects a --fault-mean-down past the clock" \
+  "ext_fault_storm: StormOptions: horizon_s + 37 x mean_down_s" \
+  "$FAULT_STORM" --fault-mean-down 1e300
+expect2 "ext_fault_storm rejects a --fault-horizon past the clock" \
+  "ext_fault_storm: StormOptions: horizon_s + 37 x mean_down_s" \
+  "$FAULT_STORM" --fault-horizon 1e300
+expect2 "ext_fault_storm rejects garbage in --rates" \
+  "ext_fault_storm: invalid rate 'abc' in --rates" \
+  "$FAULT_STORM" --rates 0.01,abc
+expect2 "ext_fault_storm rejects a malformed --fault-schedule" \
+  "ext_fault_storm: fault schedule: statement must start with '@TIME'" \
+  "$FAULT_STORM" --fault-schedule bogus
 
 # --- rfdnetd: daemon flags -------------------------------------------------
 expect2 "rfdnetd rejects garbage --queue" "invalid value 'abc' for --queue" \

@@ -6,8 +6,7 @@ namespace rfdnet::bgp {
 
 BgpNetwork::BgpNetwork(const net::Graph& graph, const TimingConfig& cfg,
                        const Policy& policy, sim::Engine& engine,
-                       sim::Rng& rng, Observer* observer,
-                       RibBackendKind rib_backend)
+                       sim::Rng& rng, Observer* observer)
     : graph_(graph), engine_(engine), rng_(rng), cfg_(cfg), observer_(observer) {
   cfg.validate();
   const std::size_t n = graph.node_count();
@@ -29,7 +28,7 @@ BgpNetwork::BgpNetwork(const net::Graph& graph, const TimingConfig& cfg,
         [this, first = first_wire_[u]](int slot, const UpdateMessage& msg) {
           transmit(first + static_cast<std::uint32_t>(slot), msg);
         },
-        observer, rib_backend));
+        observer));
   }
   // Pre-build the directed wires in adjacency order.
   wires_.reserve(wire_count);

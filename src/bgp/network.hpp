@@ -25,11 +25,9 @@ namespace rfdnet::bgp {
 class BgpNetwork {
  public:
   /// `graph`, `cfg`, `policy`, `engine` and `rng` must outlive the network.
-  /// `rib_backend` selects the per-prefix storage every router runs on.
   BgpNetwork(const net::Graph& graph, const TimingConfig& cfg,
              const Policy& policy, sim::Engine& engine, sim::Rng& rng,
-             Observer* observer = nullptr,
-             RibBackendKind rib_backend = RibBackendKind::kHashMap);
+             Observer* observer = nullptr);
 
   BgpRouter& router(net::NodeId id) { return *routers_.at(id); }
   const BgpRouter& router(net::NodeId id) const { return *routers_.at(id); }

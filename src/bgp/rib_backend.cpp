@@ -6,8 +6,6 @@ std::string to_string(RibBackendKind k) {
   switch (k) {
     case RibBackendKind::kHashMap:
       return "hash";
-    case RibBackendKind::kRadix:
-      return "radix";
     case RibBackendKind::kNull:
       return "null";
   }

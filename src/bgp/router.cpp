@@ -128,7 +128,7 @@ void BgpRouter::session_down(int slot, std::optional<rcn::RootCause> rc) {
   // as withdrawals (RFC 2439 keeps damping state across session resets).
   // Ordered iteration: the damping charges (and the observer/trace records
   // they emit) happen here, so the visit order must not depend on the
-  // storage backend.
+  // hash layout.
   std::vector<std::pair<Prefix, Row*>> affected;
   rows_.for_each_ordered([&](Prefix p, Row& row) {
     PeerEntry& e = row.peers[slot];

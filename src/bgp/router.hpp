@@ -230,7 +230,7 @@ class BgpRouter {
 
   /// Per-slot session state; all sessions start established.
   std::vector<bool> session_open_;
-  /// One row per prefix, behind the pluggable storage backend.
+  /// One row per prefix.
   RibTable<Row> rows_;
   /// Deferred-reclaim parking lot: min-heap of (pacing horizon, prefix)
   /// drained by `sweep_reclaim`, with a guard set so each prefix is parked

@@ -165,7 +165,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // snapshot at the end isolates what *this* run requested.
   const bgp::PathTable::Stats intern_before = bgp::PathTable::local().stats();
   bgp::BgpNetwork network(graph, cfg.timing, *world.policy, engine, world.rng,
-                          &recorder, cfg.rib_backend);
+                          &recorder);
   if (spans) network.set_span_tracer(spans.get());
   std::vector<bgp::BgpRouter*> routers;
   for (net::NodeId u = 0; u < graph.node_count(); ++u) {

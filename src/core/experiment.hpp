@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bgp/config.hpp"
-#include "bgp/rib_backend.hpp"
 #include "fault/schedule.hpp"
 #include "net/graph.hpp"
 #include "net/topology.hpp"
@@ -79,11 +78,6 @@ struct ExperimentConfig {
   double alt_fraction = 0.0;
   std::optional<rfd::DampingParams> damping_alt;
   PolicyKind policy = PolicyKind::kShortestPath;
-  /// Per-prefix storage backend for every router's RIBs and every damping
-  /// module's entry store. Hash and radix are behaviorally identical
-  /// (byte-identical artifacts); null retains nothing (engine-overhead
-  /// baseline — results are meaningless as BGP).
-  bgp::RibBackendKind rib_backend = bgp::RibBackendKind::kHashMap;
 
   int pulses = 1;
   double flap_interval_s = 60.0;

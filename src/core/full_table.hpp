@@ -21,9 +21,9 @@ namespace rfdnet::core {
 /// busy while the cold tail exercises per-prefix state reclamation — the
 /// leak this PR's bugfix closes — and the RFC 2439 memory-limit prune.
 ///
-/// All RIB tables and damping entry stores run on `rib_backend`. Hash and
-/// radix runs of the same config produce byte-identical scorecards; the null
-/// backend retains nothing and measures pure engine/transport overhead.
+/// All RIB tables and damping entry stores run on `rib_backend`: hash (the
+/// store; `radix` is a name for it), or null, which retains nothing and
+/// measures pure engine/transport overhead.
 struct FullTableConfig {
   /// Distinct prefixes the origin announces (>= 1).
   std::size_t prefixes = 100000;
@@ -121,8 +121,7 @@ struct FullTableResult {
   double updates_per_core_sec = 0.0;
 
   /// Deterministic JSON of everything except wall-clock figures and the
-  /// backend name — two backends that behave identically produce
-  /// byte-identical scorecards (the differential property this PR tests).
+  /// backend name, so runs that behave identically give identical bytes.
   std::string scorecard() const;
 };
 

@@ -157,8 +157,7 @@ std::vector<std::unique_ptr<rfd::DampingModule>> deploy_damping(
             ? *cfg.damping_alt
             : *cfg.damping;
     auto mod = attach_damping(
-        *routers[u], lanes[static_cast<std::size_t>(lane_of[u])], params,
-        cfg.rib_backend);
+        *routers[u], lanes[static_cast<std::size_t>(lane_of[u])], params);
     if (cfg.rcn) mod->enable_rcn();
     if (cfg.selective) mod->enable_selective();
     dampers.push_back(std::move(mod));

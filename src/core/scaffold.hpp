@@ -129,7 +129,7 @@ void assign_routers(std::vector<Lane>& lanes,
 /// observer and metrics. The caller owns the returned module.
 std::unique_ptr<rfd::DampingModule> attach_damping(
     bgp::BgpRouter& r, Lane& l, const rfd::DampingParams& params,
-    bgp::RibBackendKind backend);
+    bgp::RibBackendKind backend = bgp::RibBackendKind::kHashMap);
 
 /// The experiment's damping deployment (§5.1, §6): each router, in node
 /// order, deploys with probability `deployment`, then draws `damping_alt`

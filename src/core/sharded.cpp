@@ -76,7 +76,7 @@ ShardedExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
       .recorder->probe_penalty(world.probe);
 
   bgp::ShardedBgpNetwork network(graph, part, cfg.timing, *world.policy,
-                                 engine, cfg.seed, observers, cfg.rib_backend);
+                                 engine, cfg.seed, observers);
   const sim::Duration lookahead = network.conservative_lookahead();
   if (part.has_cut() && lookahead <= sim::Duration::zero()) {
     throw std::invalid_argument(

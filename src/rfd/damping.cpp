@@ -44,7 +44,7 @@ DampingModule::DampingModule(net::NodeId self, std::vector<net::NodeId> peer_ids
 DampingModule::~DampingModule() {
   // Cancel outstanding reuse events: their callbacks capture `this`. Only a
   // suppressed entry holds one (`check_invariants`). Ordered so the engine
-  // sees the same cancel sequence on every backend.
+  // sees a cancel sequence that does not depend on the hash layout.
   if (suppressed_count_ == 0) return;
   entries_.for_each_ordered([&](bgp::Prefix, std::vector<Entry>& entries) {
     for (auto& e : entries) {
@@ -346,8 +346,8 @@ bool DampingModule::suppressed(int slot, bgp::Prefix p) const {
 void DampingModule::reset() {
   // Only a suppressed entry holds a reuse timer or an open span, so with
   // none suppressed there is nothing to cancel or close. Ordered: span
-  // closes emit trace records, whose order must not depend on the storage
-  // backend.
+  // closes emit trace records, whose order must not depend on the hash
+  // layout.
   if (suppressed_count_ > 0) {
     entries_.for_each_ordered([&](bgp::Prefix, std::vector<Entry>& entries) {
       for (auto& e : entries) {

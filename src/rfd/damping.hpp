@@ -201,7 +201,7 @@ class DampingModule final : public bgp::DampingHook {
   sim::SimTime exact_until_;
   std::vector<rcn::RootCauseHistory> rcn_history_;  // per slot
 
-  // entries_[p] is indexed by peer slot; storage backend per `rib_backend()`.
+  // entries_[p] is indexed by peer slot.
   bgp::RibTable<std::vector<Entry>> entries_;
   int suppressed_count_ = 0;
   /// Entries whose stored penalty is nonzero; changes only where a stored

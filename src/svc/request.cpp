@@ -268,6 +268,30 @@ void append_output(std::string& out, bool& first, const std::string& name,
   out += raw_json;
 }
 
+/// `json` without the whitespace between its tokens: the same value on one
+/// line, numbers and member order untouched, so a pretty-printed artifact
+/// can ride in a newline-framed reply.
+std::string one_line(const std::string& json) {
+  std::string out;
+  out.reserve(json.size());
+  bool in_string = false;
+  bool escaped = false;
+  for (const char c : json) {
+    if (escaped) {
+      escaped = false;
+    } else if (in_string) {
+      escaped = c == '\\';
+      in_string = c != '"';
+    } else if (c == ' ' || c == '\n' || c == '\r' || c == '\t') {
+      continue;
+    } else if (c == '"') {
+      in_string = true;
+    }
+    out += c;
+  }
+  return out;
+}
+
 std::string telemetry_output(const std::string& jsonl,
                              const std::string& summary) {
   std::string out = "{\"jsonl\":\"";
@@ -365,60 +389,16 @@ std::optional<JobSpec> parse_job(const Json& job, std::string* error) {
 std::string run_job(const JobSpec& spec) {
   std::string outputs;
   bool first = true;
-  std::string kind_name;
-
-  if (spec.kind == JobSpec::Kind::kExperiment) {
-    kind_name = "experiment";
-    if (spec.shards >= 1 || spec.want_scorecard) {
-      // The experiment scorecard is defined by the sharded driver (its
-      // shard-count-invariant serialization); shards=0 runs it serially.
-      const core::ShardedExperimentResult sr = core::run_sharded_experiment(
-          spec.experiment, spec.shards >= 1 ? spec.shards : 1);
-      const core::ExperimentResult& res = sr.base;
-      if (spec.want_metrics) {
-        append_output(outputs, first, "metrics", res.metrics.json());
-      }
-      if (spec.want_result) {
-        append_output(outputs, first, "result", core::result_json(res));
-      }
-      if (spec.want_scorecard) {
-        append_output(outputs, first, "scorecard", sr.scorecard());
-      }
-      if (spec.want_stability && res.stability) {
-        append_output(outputs, first, "stability",
-                      res.stability->summary_json());
-      }
-      if (spec.want_telemetry) {
-        append_output(outputs, first, "telemetry",
-                      telemetry_output(res.telemetry_jsonl,
-                                       res.telemetry_summary));
-      }
-    } else {
-      const core::ExperimentResult res = core::run_experiment(spec.experiment);
-      if (spec.want_metrics) {
-        append_output(outputs, first, "metrics", res.metrics.json());
-      }
-      if (spec.want_result) {
-        append_output(outputs, first, "result", core::result_json(res));
-      }
-      if (spec.want_stability && res.stability) {
-        append_output(outputs, first, "stability",
-                      res.stability->summary_json());
-      }
-      if (spec.want_telemetry) {
-        append_output(outputs, first, "telemetry",
-                      telemetry_output(res.telemetry_jsonl,
-                                       res.telemetry_summary));
-      }
-    }
-  } else {
-    kind_name = "full_table";
-    const core::FullTableResult res = core::run_full_table(spec.full_table);
+  // The requested outputs of whichever driver ran, in one order; `result`
+  // and `scorecard` are empty where the driver has none or none was asked.
+  const auto emit = [&](const auto& res, const std::string& result,
+                        const std::string& scorecard) {
     if (spec.want_metrics) {
       append_output(outputs, first, "metrics", res.metrics.json());
     }
-    if (spec.want_scorecard) {
-      append_output(outputs, first, "scorecard", res.scorecard());
+    if (!result.empty()) append_output(outputs, first, "result", result);
+    if (!scorecard.empty()) {
+      append_output(outputs, first, "scorecard", scorecard);
     }
     if (spec.want_stability && res.stability) {
       append_output(outputs, first, "stability",
@@ -429,12 +409,32 @@ std::string run_job(const JobSpec& spec) {
                     telemetry_output(res.telemetry_jsonl,
                                      res.telemetry_summary));
     }
+  };
+  // `core::result_json` is pretty-printed for files and terminals.
+  const auto result_of = [&](const core::ExperimentResult& res) {
+    return spec.want_result ? one_line(core::result_json(res)) : "";
+  };
+
+  const bool full_table = spec.kind == JobSpec::Kind::kFullTable;
+  if (full_table) {
+    const core::FullTableResult res = core::run_full_table(spec.full_table);
+    emit(res, "", spec.want_scorecard ? res.scorecard() : "");
+  } else if (spec.shards >= 1 || spec.want_scorecard) {
+    // The experiment scorecard is defined by the sharded driver (its
+    // shard-count-invariant serialization); shards=0 runs it serially.
+    const core::ShardedExperimentResult sr = core::run_sharded_experiment(
+        spec.experiment, spec.shards >= 1 ? spec.shards : 1);
+    emit(sr.base, result_of(sr.base),
+         spec.want_scorecard ? sr.scorecard() : "");
+  } else {
+    const core::ExperimentResult res = core::run_experiment(spec.experiment);
+    emit(res, result_of(res), "");
   }
 
   std::string payload = "{\"job\":\"";
   payload += spec.key_hex();
   payload += "\",\"kind\":\"";
-  payload += kind_name;
+  payload += full_table ? "full_table" : "experiment";
   payload += "\",\"outputs\":{";
   payload += outputs;
   payload += "}}";

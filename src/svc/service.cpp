@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -197,8 +198,13 @@ void Service::dispatcher_loop() {
     std::vector<char> ok(batch.size(), 0);
     runner_->for_each(batch.size(), [&](std::size_t i) {
       try {
+        const std::string payload = run_(batch[i]->spec);
+        // Replies are newline-framed; a raw newline would split this one.
+        if (payload.find('\n') != std::string::npos) {
+          throw std::runtime_error("payload holds a raw newline");
+        }
         results[i] = std::make_shared<const std::string>(
-            "{\"ok\":true,\"payload\":" + run_(batch[i]->spec) + "}");
+            "{\"ok\":true,\"payload\":" + payload + "}");
         ok[i] = 1;
       } catch (const std::exception& e) {
         results[i] = std::make_shared<const std::string>(

@@ -59,7 +59,8 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Processes one protocol line (no trailing newline) and returns the
-  /// response line (no trailing newline). Never throws; malformed input
+  /// response line (no trailing newline, and no raw newline inside: a job
+  /// whose payload holds one fails with 500). Never throws; malformed input
   /// becomes an `{"ok":false,"error":{...}}` response. Blocks while the
   /// job computes.
   std::string handle_line(const std::string& line);

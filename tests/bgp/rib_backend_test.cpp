@@ -1,6 +1,7 @@
-// Unit tests for the pluggable per-prefix storage backends. The hash and
-// radix stores must be observably interchangeable (same contents, same
-// `for_each_ordered` visit order); the null store must retain nothing.
+// Unit tests for the per-prefix table: the hash store's contract on fixed
+// keys and the cursor (tests/property/rib_table_oracle_test.cpp drives it
+// against a std::map on random sequences); the null store must retain
+// nothing.
 
 #include "bgp/rib_backend.hpp"
 
@@ -14,8 +15,7 @@
 namespace rfdnet::bgp {
 namespace {
 
-// Keys spread across distinct top-level radix branches, same leaf, and
-// adjacent slots — exercises node creation/collapse at every level.
+// Dense, adjacent, spread and extreme keys.
 const std::vector<Prefix> kKeys = {0u,          1u,          255u,
                                    256u,        0x01020304u, 0x01020305u,
                                    0xff000000u, 0xffffffffu, 42u};
@@ -49,7 +49,7 @@ TEST_P(RetainingBackendTest, CreateFindEraseRoundTrip) {
   EXPECT_FALSE(t.erase(kKeys[3]));  // already gone
   EXPECT_EQ(t.find(kKeys[3]), nullptr);
   EXPECT_EQ(t.size(), kKeys.size() - 1);
-  // Neighbors in the same leaf survive the erase.
+  // The adjacent key survives the erase.
   EXPECT_NE(t.find(kKeys[4]), nullptr);
 
   t.clear();
@@ -89,8 +89,7 @@ TEST_P(RetainingBackendTest, UnorderedIterationVisitsEverythingOnce) {
 
 TEST_P(RetainingBackendTest, EraseToEmptyAndRefill) {
   RibTable<int> t(GetParam());
-  // Full 256-slot leaf: erasing all of it must hand the block back (radix
-  // collapse path) and leave the table reusable.
+  // A full 256-key block: erasing all of it must leave the table reusable.
   for (Prefix p = 512; p < 768; ++p) t.find_or_create(p) = 1;
   EXPECT_EQ(t.size(), 256u);
   for (Prefix p = 512; p < 768; ++p) EXPECT_TRUE(t.erase(p));
@@ -134,7 +133,7 @@ TEST_P(RetainingBackendTest, ClearForgetsCursor) {
 TEST_P(RetainingBackendTest, AlternatingPrefixesReturnTheirOwnRows) {
   RibTable<int> t(GetParam());
   const Prefix a = kKeys[4];
-  const Prefix b = kKeys[5];  // same radix leaf as `a`
+  const Prefix b = kKeys[5];  // adjacent to `a`
   int* row_a = &t.find_or_create(a);
   *row_a = 1;
   int* row_b = &t.find_or_create(b);
@@ -194,8 +193,7 @@ TEST_P(RetainingBackendTest, MovedTableCarriesNoCursor) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RetainingBackendTest,
-                         ::testing::Values(RibBackendKind::kHashMap,
-                                           RibBackendKind::kRadix),
+                         ::testing::Values(RibBackendKind::kHashMap),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
@@ -240,7 +238,10 @@ TEST(RibBackendKindTest, ParseAndToStringRoundTrip) {
     EXPECT_EQ(*parsed, k);
   }
   EXPECT_EQ(parse_rib_backend("hash-map"), RibBackendKind::kHashMap);
-  EXPECT_EQ(parse_rib_backend("trie"), RibBackendKind::kRadix);
+  // The radix names build the hash store.
+  EXPECT_EQ(parse_rib_backend("radix"), RibBackendKind::kHashMap);
+  EXPECT_EQ(parse_rib_backend("trie"), RibBackendKind::kHashMap);
+  EXPECT_TRUE(RibTable<int>(RibBackendKind::kRadix).retains());
   EXPECT_EQ(parse_rib_backend("none"), RibBackendKind::kNull);
   EXPECT_FALSE(parse_rib_backend("btree").has_value());
   EXPECT_FALSE(parse_rib_backend("").has_value());

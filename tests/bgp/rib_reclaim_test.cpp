@@ -127,8 +127,7 @@ TEST_P(RibReclaimTest, ConstReadsDoNotCreateRows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RibReclaimTest,
-                         ::testing::Values(RibBackendKind::kHashMap,
-                                           RibBackendKind::kRadix),
+                         ::testing::Values(RibBackendKind::kHashMap),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

@@ -154,7 +154,6 @@ std::vector<std::string> compute_golden() {
             r.metrics.counter("rfd.suppressions").value())));
   };
   full_table_line(2000, 4000, bgp::RibBackendKind::kHashMap);
-  full_table_line(2000, 4000, bgp::RibBackendKind::kRadix);
   // The null store retains no row: routes die one hop out while the origin
   // keeps announcing.
   full_table_line(2000, 4000, bgp::RibBackendKind::kNull);

@@ -10,7 +10,7 @@
 //
 // The configs: the fig03 flap pattern (4 pulses, 120 s apart) and fig10's
 // n = 1, 3, 5 on the 10x10 mesh at seeds 1-3; the scorecard's heavy fault
-// storm; the 2,000-prefix full table on hash and radix at 1 and 2 shards;
+// storm; the 2,000-prefix full table at 1 and 2 shards;
 // and a full table with a 1 s half-life, whose penalties decay to exactly
 // 0.0 about 1,075 s after their charge, so its samples fall on both sides
 // of the counter's horizon.
@@ -91,24 +91,20 @@ TEST(LiveEntriesOracle, FaultStormAgreesWithTheWalk) {
   EXPECT_GT(res.suppress_events, 0u);
 }
 
-FullTableConfig full_table(bgp::RibBackendKind backend, int shards) {
+FullTableConfig full_table(int shards) {
   FullTableConfig cfg;
   cfg.prefixes = 2000;
   cfg.events = 4000;
-  cfg.rib_backend = backend;
   cfg.shards = shards;
   cfg.telemetry_period_s = 5.0;
   return cfg;
 }
 
 TEST(LiveEntriesOracle, FullTableAgreesWithTheWalk) {
-  for (const auto backend :
-       {bgp::RibBackendKind::kHashMap, bgp::RibBackendKind::kRadix}) {
-    for (const int shards : {1, 2}) {
-      SCOPED_TRACE(to_string(backend) + " k=" + std::to_string(shards));
-      const FullTableResult res = run_full_table(full_table(backend, shards));
-      EXPECT_GT(res.peak_damping_active, 0u);
-    }
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("k=" + std::to_string(shards));
+    const FullTableResult res = run_full_table(full_table(shards));
+    EXPECT_GT(res.peak_damping_active, 0u);
   }
 }
 
@@ -116,7 +112,7 @@ TEST(LiveEntriesOracle, PenaltiesThatDecayToZeroMidRunAgreeWithTheWalk) {
   // 4000 toggles 0.5 s apart: 2,000 s of churn plus the 120 s cooldown, so
   // the cold tail's single charges read 0.0 long before the end, and the
   // samples cross the counter's ~1,063 s horizon.
-  FullTableConfig cfg = full_table(bgp::RibBackendKind::kHashMap, 2);
+  FullTableConfig cfg = full_table(2);
   cfg.event_interval_s = 0.5;
   cfg.damping->half_life_s = 1.0;
   cfg.damping->max_suppress_s = 4.0;  // ceiling 12000, as with Cisco

@@ -1,6 +1,6 @@
 // Shard-count determinism suite: the scorecard of a sharded run must be
-// byte-identical for every shard count — same seed, same topology, same RIB
-// backend, shards 1/2/4 (and 0 for the full-table driver, which runs it on
+// byte-identical for every shard count — same seed, same topology, shards
+// 1/2/4 (and 0 for the full-table driver, which runs it on
 // one shard). Runs under the plain, ASan and TSan legs of
 // scripts/check.sh (the TSan leg selects tests matching "ShardedDeterminism",
 // which also makes the barrier/inbox synchronization race-checked under the
@@ -59,46 +59,26 @@ TEST(ShardedDeterminism, InternetScorecardsAreShardCountInvariant) {
   expect_invariant_scorecards(cfg);
 }
 
-TEST(ShardedDeterminism, RadixBackendIsAlsoInvariant) {
-  ExperimentConfig cfg;
-  cfg.topology.kind = TopologySpec::Kind::kMeshTorus;
-  cfg.topology.width = 6;
-  cfg.topology.height = 6;
-  cfg.pulses = 2;
-  cfg.seed = 1;
-  cfg.rib_backend = bgp::RibBackendKind::kRadix;
-  cfg.record_all_penalties = true;
-  cfg.record_update_log = true;
-  expect_invariant_scorecards(cfg);
-}
-
 TEST(ShardedDeterminism, FullTableScorecardsAreShardCountInvariant) {
-  // Both retaining backends, shards 0/1/2/4: all eight scorecards must be
-  // one byte string — one full-table answer at every shard count, and hash
-  // and radix storage agreeing at each.
+  // Shards 0/1/2/4: all four scorecards must be one byte string — one
+  // full-table answer at every shard count.
   std::string first;
-  for (const auto backend :
-       {bgp::RibBackendKind::kHashMap, bgp::RibBackendKind::kRadix}) {
-    for (const int shards : {0, 1, 2, 4}) {
-      FullTableConfig cfg;
-      cfg.prefixes = 300;
-      cfg.events = 600;
-      cfg.routers = 6;
-      cfg.seed = 3;
-      cfg.samples = 16;
-      cfg.cooldown_s = 60.0;
-      cfg.rib_backend = backend;
-      cfg.shards = shards;
-      const FullTableResult res = run_full_table(cfg);
-      const std::string card = res.scorecard();
-      ASSERT_FALSE(card.empty());
-      if (first.empty()) {
-        first = card;
-      } else {
-        ASSERT_EQ(card, first)
-            << "diverged at backend=" << static_cast<int>(backend)
-            << " shards=" << shards;
-      }
+  for (const int shards : {0, 1, 2, 4}) {
+    FullTableConfig cfg;
+    cfg.prefixes = 300;
+    cfg.events = 600;
+    cfg.routers = 6;
+    cfg.seed = 3;
+    cfg.samples = 16;
+    cfg.cooldown_s = 60.0;
+    cfg.shards = shards;
+    const FullTableResult res = run_full_table(cfg);
+    const std::string card = res.scorecard();
+    ASSERT_FALSE(card.empty());
+    if (first.empty()) {
+      first = card;
+    } else {
+      ASSERT_EQ(card, first) << "diverged at shards=" << shards;
     }
   }
 }

@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -312,6 +313,44 @@ TEST(SvcDaemon, RequestSplitOverManySmallWritesIsAnswered) {
     std::this_thread::sleep_for(1ms);  // let the daemon see each fragment
   }
   EXPECT_EQ(c.read_line(), "{\"ok\":true,\"pong\":true}");
+}
+
+TEST(SvcDaemon, EveryOutputKindIsOneLineOverTheWire) {
+  TestDaemon d;
+  ASSERT_TRUE(d.started);
+  RawConnection c(d.cfg.socket_path);
+  ASSERT_TRUE(c.connected());
+  const std::string experiment =
+      "\"topology\":{\"kind\":\"mesh\",\"width\":3,\"height\":3},"
+      "\"pulses\":1,\"telemetry_period_s\":5";
+  const std::string full_table =
+      "\"kind\":\"full_table\",\"prefixes\":50,\"events\":100,"
+      "\"routers\":3,\"telemetry_period_s\":5";
+  const std::vector<std::pair<std::string, std::vector<std::string>>> jobs = {
+      {experiment, {"result", "scorecard", "metrics", "stability", "telemetry"}},
+      {full_table, {"scorecard", "metrics", "stability", "telemetry"}}};
+  for (const auto& [job, outputs] : jobs) {
+    for (const std::string& output : outputs) {
+      SCOPED_TRACE(output + " of {" + job + "}");
+      ASSERT_TRUE(c.write("{\"op\":\"run\",\"job\":{" + job +
+                          ",\"outputs\":[\"" + output + "\"]}}\n"));
+      const std::optional<std::string> reply = c.read_line();
+      ASSERT_TRUE(reply.has_value());
+      std::string error;
+      const auto j = Json::parse(*reply, &error);
+      ASSERT_TRUE(j) << error << " in " << *reply;
+      ASSERT_TRUE(j->find("ok") && j->find("ok")->as_bool()) << *reply;
+      const Json* payload = j->find("payload");
+      ASSERT_TRUE(payload) << *reply;
+      const Json* outs = payload->find("outputs");
+      ASSERT_TRUE(outs && outs->find(output)) << *reply;
+      EXPECT_EQ(outs->as_object().size(), 1u) << *reply;
+      // The next request on the connection gets its own reply, not the
+      // rest of this one.
+      ASSERT_TRUE(c.write("{\"op\":\"ping\"}\n"));
+      EXPECT_EQ(c.read_line(), "{\"ok\":true,\"pong\":true}");
+    }
+  }
 }
 
 TEST(SvcDaemon, OverlongLineGetsA400AndTheConnectionCloses) {

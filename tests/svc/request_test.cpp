@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
+#include "core/export.hpp"
 #include "core/fnv1a.hpp"
+#include "core/sharded.hpp"
 
 namespace rfdnet::svc {
 namespace {
@@ -146,6 +149,34 @@ TEST(SvcRequest, RunJobPayloadIsDeterministic) {
   ASSERT_TRUE(j->find("outputs"));
   EXPECT_TRUE(j->find("outputs")->find("result"));
   EXPECT_TRUE(j->find("outputs")->find("scorecard"));
+}
+
+TEST(SvcRequest, ResultOutputIsTheResultJsonOnOneLine) {
+  // Replies are newline-framed, and `core::result_json` is pretty-printed:
+  // the payload must carry the same JSON value on one line, from the serial
+  // driver (result alone) and from the keyed one (result with scorecard).
+  const std::string job =
+      "{\"topology\":{\"kind\":\"mesh\",\"width\":3,\"height\":3},"
+      "\"pulses\":1,\"seed\":3,\"outputs\":";
+  for (const bool keyed : {false, true}) {
+    SCOPED_TRACE(keyed ? "keyed" : "serial");
+    const auto spec = parse_text(
+        job + (keyed ? "[\"result\",\"scorecard\"]}" : "[\"result\"]}"));
+    ASSERT_TRUE(spec);
+    const std::string payload = run_job(*spec);
+    EXPECT_EQ(payload.find('\n'), std::string::npos);
+    const auto j = Json::parse(payload);
+    ASSERT_TRUE(j) << payload.substr(0, 200);
+    const Json* result = j->find("outputs")->find("result");
+    ASSERT_TRUE(result);
+    const std::string direct = core::result_json(
+        keyed ? core::run_sharded_experiment(spec->experiment, 1).base
+              : core::run_experiment(spec->experiment));
+    ASSERT_NE(direct.find('\n'), std::string::npos);  // pretty-printed
+    const auto want = Json::parse(direct);
+    ASSERT_TRUE(want);
+    EXPECT_EQ(result->dump(), want->dump());
+  }
 }
 
 }  // namespace

@@ -256,6 +256,22 @@ TEST(SvcService, FailedJobsReport500AndAreNotCached) {
   EXPECT_EQ(calls.load(), 2);
 }
 
+TEST(SvcService, PayloadWithARawNewlineFailsWith500) {
+  // Replies are newline-framed: a payload that would split its reply is a
+  // failed job, reported on one line and not cached.
+  core::ParallelRunner runner(2);
+  ServiceConfig cfg;
+  cfg.runner = &runner;
+  Service svc(cfg, [](const JobSpec&) { return std::string("{\n}"); });
+  const std::string r = svc.handle_line(run_request(6));
+  EXPECT_EQ(r.find('\n'), std::string::npos) << r;
+  const auto j = Json::parse(r);
+  ASSERT_TRUE(j && j->find("error")) << r;
+  EXPECT_EQ(j->find("error")->find("code")->as_number(), 500) << r;
+  EXPECT_EQ(svc.stats().failed, 1u);
+  EXPECT_EQ(svc.stats().cached, 0u);
+}
+
 TEST(SvcService, LruCacheEvictsLeastRecentlyUsed) {
   LruCache cache(2);
   const auto val = [](const std::string& s) {
