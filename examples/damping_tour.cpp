@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bgp/message.hpp"
+#include "bgp/path_table.hpp"
 #include "rfd/damping.hpp"
 #include "sim/engine.hpp"
 #include "stats/penalty_curve.hpp"
@@ -24,6 +25,7 @@ constexpr bgp::Prefix kPrefix = 0;
 void tour(const char* title, const rfd::DampingParams& params) {
   std::cout << "==== " << title << " " << params.to_string() << " ====\n";
 
+  bgp::PathTable paths;
   sim::Engine engine;
   int reuses = 0;
   rfd::DampingModule damping(
@@ -45,8 +47,8 @@ void tour(const char* title, const rfd::DampingParams& params) {
     });
   };
 
-  const bgp::Route via_a{bgp::AsPath::origin(9).prepended(1), 100};
-  const bgp::Route via_b{bgp::AsPath::origin(9).prepended(2).prepended(1), 100};
+  const bgp::Route via_a{paths.from_hops({1, 9}), 100};
+  const bgp::Route via_b{paths.from_hops({1, 2, 9}), 100};
 
   step(0, bgp::UpdateMessage::announce(kPrefix, via_a), "initial announcement");
   step(60, bgp::UpdateMessage::withdraw(kPrefix), "withdrawal");
@@ -80,12 +82,13 @@ int main() {
   // The ceiling in action: hammering the entry cannot push the reuse timer
   // past the max hold-down time.
   std::cout << "==== ceiling / max hold-down ====\n";
+  bgp::PathTable paths;
   sim::Engine engine;
   const rfd::DampingParams params = rfd::DampingParams::cisco();
   rfd::DampingModule damping(0, {1}, params, engine,
                              [](int, bgp::Prefix) { return false; });
   std::optional<bgp::Route> prev;
-  const bgp::Route r{bgp::AsPath::origin(9).prepended(1), 100};
+  const bgp::Route r{paths.from_hops({1, 9}), 100};
   for (int i = 0; i < 200; ++i) {
     const double t = i * 2.0;
     engine.schedule_at(sim::SimTime::from_seconds(t), [&, t, i] {

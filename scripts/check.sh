@@ -117,13 +117,16 @@ fi
 
 ctest --test-dir build --output-on-failure
 
-# Daemon smoke leg: start rfdnetd on a tmpdir-scoped socket, submit the same
-# job twice (the second must be a byte-identical cache hit), then SIGTERM it
-# and require a clean drain (exit 0, socket unlinked). This exercises the
-# real signal path, which the in-process SvcDaemon suite cannot.
+# Daemon smoke leg: start rfdnetd on a tmpdir-scoped socket and submit two
+# jobs twice each: one asking for `scorecard` (it runs on the keyed driver)
+# and one asking only for `result` (it runs on the serial driver). Every
+# reply must be one line, and each resubmission a byte-identical cache hit.
+# Then SIGTERM the daemon and require a clean drain (exit 0, socket
+# unlinked). This exercises the real signal path, which the in-process
+# SvcDaemon suite cannot.
 SMOKE_DIR=$(mktemp -d /tmp/rfdnetd-smoke.XXXXXX)
 SOCK="$SMOKE_DIR/rfdnetd.sock"
-REQ='{"op":"run","job":{"topology":{"kind":"mesh","width":3,"height":3},"pulses":1,"seed":42,"outputs":["scorecard"]}}'
+JOB='"topology":{"kind":"mesh","width":3,"height":3},"pulses":1,"seed":42'
 build/examples/rfdnetd --socket "$SOCK" --queue 8 --cache 32 &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do
@@ -131,15 +134,24 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 [[ -S "$SOCK" ]] || { echo "rfdnetd smoke: socket never appeared" >&2; exit 1; }
-R1=$(build/examples/rfdnetd --ctl --socket "$SOCK" --request "$REQ")
-R2=$(build/examples/rfdnetd --ctl --socket "$SOCK" --request "$REQ")
-if [[ "$R1" != "$R2" ]]; then
-  echo "rfdnetd smoke: cached resubmission was not byte-identical" >&2
-  exit 1
-fi
+for OUTPUT in scorecard result; do
+  REQ="{\"op\":\"run\",\"job\":{$JOB,\"outputs\":[\"$OUTPUT\"]}}"
+  R1=$(build/examples/rfdnetd --ctl --socket "$SOCK" --request "$REQ")
+  R2=$(build/examples/rfdnetd --ctl --socket "$SOCK" --request "$REQ")
+  for R in "$R1" "$R2"; do
+    if [[ "$R" != '{"ok":true,'* || "$R" == *$'\n'* ]]; then
+      echo "rfdnetd smoke: $OUTPUT reply is not one ok line: $R" >&2
+      exit 1
+    fi
+  done
+  if [[ "$R1" != "$R2" ]]; then
+    echo "rfdnetd smoke: cached $OUTPUT resubmission was not byte-identical" >&2
+    exit 1
+  fi
+done
 build/examples/rfdnetd --ctl --socket "$SOCK" --status \
-  | grep -q '"cache_hits":1' \
-  || { echo "rfdnetd smoke: expected exactly one cache hit" >&2; exit 1; }
+  | grep -q '"cache_hits":2' \
+  || { echo "rfdnetd smoke: expected exactly two cache hits" >&2; exit 1; }
 kill -TERM "$DAEMON_PID"
 if ! wait "$DAEMON_PID"; then
   echo "rfdnetd smoke: daemon exited non-zero on SIGTERM" >&2

@@ -1,20 +1,35 @@
 #include "bgp/as_path.hpp"
 
-#include <algorithm>
-
 namespace rfdnet::bgp {
 
 bool AsPath::contains_scan(net::NodeId as) const {
-  const std::vector<net::NodeId>& h = *node_->hops;
-  return std::find(h.begin(), h.end(), as) != h.end();
+  for (const PathCell* c = cell_; c != nullptr; c = c->tail) {
+    if (c->head == as) return true;
+  }
+  return false;
+}
+
+std::vector<net::NodeId> AsPath::hops() const {
+  std::vector<net::NodeId> out;
+  out.reserve(length());
+  for (const PathCell* c = cell_; c != nullptr; c = c->tail) {
+    out.push_back(c->head);
+  }
+  return out;
+}
+
+bool AsPath::same_hops(const PathCell* a, const PathCell* b) {
+  for (; a != nullptr; a = a->tail, b = b->tail) {
+    if (a->head != b->head) return false;
+  }
+  return true;
 }
 
 std::string AsPath::to_string() const {
-  const std::vector<net::NodeId>& h = *node_->hops;
   std::string s = "[";
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    if (i) s += ' ';
-    s += std::to_string(h[i]);
+  for (const PathCell* c = cell_; c != nullptr; c = c->tail) {
+    if (c != cell_) s += ' ';
+    s += std::to_string(c->head);
   }
   s += ']';
   return s;

@@ -1,84 +1,94 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "bgp/path_table.hpp"
 #include "net/types.hpp"
 
 namespace rfdnet::bgp {
 
-/// Handle to an interned path node; never dangles (see `PathTable`).
-using AsPathRef = const PathTable::Node*;
+class PathTable;
+
+/// One hash-consed path of a `PathTable`: `head` followed by the path
+/// `tail` (nullptr when `head` is the origin). Paths share suffixes, so a
+/// cell stores no hop sequence. `bloom` is the tail's bloom plus the head's
+/// bit: a clear bit proves an AS absent from the whole path.
+struct PathCell {
+  const PathCell* tail = nullptr;
+  std::uint64_t bloom = 0;
+  const PathTable* owner = nullptr;
+  net::NodeId head = net::kInvalidNode;
+  std::uint32_t length = 0;
+  std::uint32_t id = 0;  ///< 1, 2, ... in build order; 0 is the empty path
+};
 
 /// BGP AS_PATH: the sequence of ASes an announcement has traversed.
 /// `front()` is the most recent sender (the neighbor the route was learned
-/// from after prepending); `back()` is the origin AS. Used for loop
+/// from after prepending); the last hop is the origin AS. Used for loop
 /// detection and as the length tie-breaker in route selection.
 ///
-/// An `AsPath` is a flyweight: one pointer into the thread's `PathTable`,
-/// where every distinct hop sequence lives exactly once. Copying a path —
-/// per-peer export fan-out, RIB bookkeeping, messages in flight — copies the
-/// handle, not the hops; equality between same-thread paths is a pointer
-/// compare; loop detection consults the node's precomputed bloom bits before
-/// falling back to a scan.
+/// An `AsPath` is a flyweight: one pointer to a cell of the `PathTable` that
+/// made it, or null for the empty path, which needs no table. Copying a path
+/// (per-peer export fan-out, RIB bookkeeping, messages in flight) copies the
+/// handle. A handle is valid as long as its table; see `PathTable`.
 class AsPath {
  public:
-  AsPath() : node_(PathTable::local().empty_path()) {}
+  /// The empty path.
+  AsPath() = default;
 
-  /// Path containing only the origin AS.
-  static AsPath origin(net::NodeId as) {
-    return AsPath(PathTable::local().origin(as));
+  /// Bloom bit for one AS id (one of 64, hash-picked by splitmix64).
+  static std::uint64_t bloom_bit(net::NodeId as) {
+    std::uint64_t x = as + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return 1ULL << ((x ^ (x >> 31)) & 63u);
   }
 
-  /// Interns an explicit hop sequence into this thread's table. Used when a
-  /// path crosses a table boundary (e.g. a cross-shard update materializes
-  /// its hops and re-interns them at the destination shard).
-  static AsPath from_hops(std::vector<net::NodeId> hops) {
-    return AsPath(PathTable::local().intern(std::move(hops)));
-  }
-
-  /// This path with `as` prepended (as done when a route is announced to an
-  /// external peer). Interned: repeated prepends of the same AS onto the
-  /// same tail return the identical node (memo hit, no allocation).
-  AsPath prepended(net::NodeId as) const {
-    return AsPath(PathTable::local().prepend(node_, as));
-  }
-
-  /// Loop detection: bloom reject first (a clear bit proves absence), plain
-  /// scan only when the bloom bits collide.
+  /// Loop detection: walks the cells while their bloom still holds the AS's
+  /// bit, so a clear bit ends the walk (every suffix's bloom is a subset of
+  /// its extension's).
   bool contains(net::NodeId as) const {
-    if (!(node_->bloom & PathTable::bloom_bit(as))) return false;
-    return contains_scan(as);
+    const std::uint64_t bit = bloom_bit(as);
+    for (const PathCell* c = cell_; c != nullptr && (c->bloom & bit) != 0;
+         c = c->tail) {
+      if (c->head == as) return true;
+    }
+    return false;
   }
-  /// Reference linear scan (property tests check it agrees with `contains`).
+  /// Reference walk without the bloom (property tests check it agrees with
+  /// `contains`).
   bool contains_scan(net::NodeId as) const;
 
-  std::size_t length() const { return node_->hops->size(); }
-  bool empty() const { return node_->hops->empty(); }
-  net::NodeId front() const { return node_->hops->front(); }
-  net::NodeId origin_as() const { return node_->hops->back(); }
-  const std::vector<net::NodeId>& hops() const { return *node_->hops; }
+  std::size_t length() const { return cell_ ? cell_->length : 0; }
+  bool empty() const { return cell_ == nullptr; }
+  net::NodeId front() const { return cell_->head; }
+  /// The hops, front to origin, built on each call.
+  std::vector<net::NodeId> hops() const;
 
-  /// The interned node (tests: sharing/identity assertions).
-  AsPathRef ref() const { return node_; }
-  /// Intern id within the owning table (deterministic per event sequence).
-  std::uint32_t intern_id() const { return node_->id; }
+  /// The interned cell, null for the empty path (tests: identity checks).
+  const PathCell* ref() const { return cell_; }
 
-  /// Same-table handles compare by identity (hash-consing makes that exact);
-  /// paths interned by different threads fall back to comparing hops.
+  /// Handles from one table compare by identity (hash-consing makes that
+  /// exact); paths from different tables compare their hops.
   friend bool operator==(const AsPath& a, const AsPath& b) {
-    if (a.node_ == b.node_) return true;
-    if (a.node_->owner == b.node_->owner) return false;
-    return *a.node_->hops == *b.node_->hops;
+    if (a.cell_ == b.cell_) return true;
+    if (a.length() != b.length() || a.cell_->owner == b.cell_->owner) {
+      return false;
+    }
+    return same_hops(a.cell_, b.cell_);
   }
 
   std::string to_string() const;
 
  private:
-  explicit AsPath(AsPathRef node) : node_(node) {}
-  AsPathRef node_;  ///< never null: the empty path is interned too
+  friend class PathTable;
+  explicit AsPath(const PathCell* cell) : cell_(cell) {}
+  /// Walks two equally long chains of different tables.
+  static bool same_hops(const PathCell* a, const PathCell* b);
+
+  const PathCell* cell_ = nullptr;
 };
 
 }  // namespace rfdnet::bgp

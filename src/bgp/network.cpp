@@ -24,7 +24,7 @@ BgpNetwork::BgpNetwork(const net::Graph& graph, const TimingConfig& cfg,
       peers.push_back(BgpRouter::PeerInfo{e.neighbor, e.rel});
     }
     routers_.push_back(std::make_unique<BgpRouter>(
-        u, std::move(peers), cfg, policy, engine, rng,
+        u, std::move(peers), cfg, policy, engine, rng, paths_,
         [this, first = first_wire_[u]](int slot, const UpdateMessage& msg) {
           transmit(first + static_cast<std::uint32_t>(slot), msg);
         },

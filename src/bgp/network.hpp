@@ -9,6 +9,7 @@
 
 #include "bgp/config.hpp"
 #include "bgp/observer.hpp"
+#include "bgp/path_table.hpp"
 #include "bgp/policy.hpp"
 #include "bgp/router.hpp"
 #include "net/graph.hpp"
@@ -22,6 +23,8 @@ namespace rfdnet::bgp {
 /// one session per link. Transport delivers each update after the link's
 /// propagation delay plus a uniform processing delay at the receiver — the
 /// SSFNet-style timing model whose asynchrony drives path exploration.
+/// The network owns the AS-path table its routers intern into, so the paths
+/// of a run die with its network.
 class BgpNetwork {
  public:
   /// `graph`, `cfg`, `policy`, `engine` and `rng` must outlive the network.
@@ -77,6 +80,8 @@ class BgpNetwork {
 
   /// In-flight message pool (tests / alloc profiling).
   const UpdateMessagePool& message_pool() const { return pool_; }
+  /// The routers' AS-path table (tests / alloc profiling).
+  const PathTable& paths() const { return paths_; }
 
  private:
   /// Puts `msg` on directed wire `w`.
@@ -94,6 +99,9 @@ class BgpNetwork {
   const TimingConfig& cfg_;
   Observer* observer_ = nullptr;
   obs::SpanTracer* spans_ = nullptr;
+  // Declared before everything that holds a path (routers, the message
+  // pool), so it is destroyed after them.
+  PathTable paths_;
   std::vector<std::unique_ptr<BgpRouter>> routers_;
   // Hot-path record per *directed* link, built once at construction: both
   // endpoints, the receiver's peer slot for the sender, the propagation

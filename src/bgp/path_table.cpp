@@ -1,98 +1,44 @@
 #include "bgp/path_table.hpp"
 
-#include <utility>
+#include <stdexcept>
 
 namespace rfdnet::bgp {
 
-namespace {
-
-/// splitmix64 finalizer: cheap, well-mixed 64-bit hash of one word.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-std::size_t PathTable::VecHash::operator()(
-    const std::vector<net::NodeId>& v) const {
-  std::uint64_t h = 0x243f6a8885a308d3ULL ^ v.size();
-  for (const net::NodeId as : v) h = mix64(h ^ as);
-  return static_cast<std::size_t>(h);
-}
-
-std::uint64_t PathTable::bloom_bit(net::NodeId as) {
-  return 1ULL << (mix64(as) & 63u);
-}
-
-namespace {
-
-// Per-thread redirection target for PathTable::local() (sharded runs bind
-// their per-shard tables here; see PathTable::bind_local).
-thread_local PathTable* t_bound_table = nullptr;
-
-}  // namespace
-
-PathTable::PathTable() { empty_ = intern({}); }
-
-PathTable& PathTable::local() {
-  if (t_bound_table != nullptr) return *t_bound_table;
-  thread_local PathTable table;
-  return table;
-}
-
-void PathTable::bind_local(PathTable* table) { t_bound_table = table; }
-
-const PathTable::Node* PathTable::intern(std::vector<net::NodeId> hops) {
+AsPath PathTable::prepend(const AsPath& tail, net::NodeId as) {
+  if (tail.cell_ != nullptr && tail.cell_->owner != this) {
+    throw std::invalid_argument("PathTable: tail made by another table");
+  }
   ++stats_.intern_requests;
-  const auto [it, inserted] = nodes_.try_emplace(std::move(hops));
+  const auto [c, built] = cell(tail.cell_, as);
+  if (!built) ++stats_.prepend_hits;
+  return AsPath(c);
+}
+
+AsPath PathTable::from_hops(const std::vector<net::NodeId>& hops) {
+  ++stats_.intern_requests;
+  const PathCell* c = nullptr;
+  for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
+    c = cell(c, *it).first;
+  }
+  return AsPath(c);
+}
+
+std::pair<const PathCell*, bool> PathTable::cell(const PathCell* tail,
+                                                 net::NodeId head) {
+  const std::uint64_t tail_id = tail != nullptr ? tail->id : 0;
+  const auto [it, inserted] = index_.try_emplace((tail_id << 32) | head);
   if (inserted) {
     ++stats_.node_builds;
-    Node& n = it->second;
-    n.hops = &it->first;
-    n.id = next_id_++;
-    n.owner = this;
-    for (const net::NodeId as : it->first) n.bloom |= bloom_bit(as);
+    PathCell& c = cells_.emplace_back();
+    c.tail = tail;
+    c.bloom = (tail != nullptr ? tail->bloom : 0) | AsPath::bloom_bit(head);
+    c.owner = this;
+    c.head = head;
+    c.length = (tail != nullptr ? tail->length : 0) + 1;
+    c.id = static_cast<std::uint32_t>(cells_.size());
+    it->second = &c;
   }
-  return &it->second;
-}
-
-const PathTable::Node* PathTable::origin(net::NodeId as) {
-  const auto it = origins_.find(as);
-  if (it != origins_.end()) {
-    ++stats_.intern_requests;
-    ++stats_.prepend_hits;
-    return it->second;
-  }
-  const Node* n = intern({as});
-  origins_.emplace(as, n);
-  return n;
-}
-
-const PathTable::Node* PathTable::prepend(const Node* tail, net::NodeId as) {
-  if (tail->owner == this) {
-    const auto it = tail->prepends.find(as);
-    if (it != tail->prepends.end()) {
-      ++stats_.intern_requests;
-      ++stats_.prepend_hits;
-      return it->second;
-    }
-  }
-  std::vector<net::NodeId> hops;
-  hops.reserve(tail->hops->size() + 1);
-  hops.push_back(as);
-  hops.insert(hops.end(), tail->hops->begin(), tail->hops->end());
-  const Node* n = intern(std::move(hops));
-  if (tail->owner == this) tail->prepends.emplace(as, n);
-  return n;
-}
-
-PathTable::Stats PathTable::stats() const {
-  Stats s = stats_;
-  s.unique_paths = nodes_.size();
-  return s;
+  return {it->second, inserted};
 }
 
 }  // namespace rfdnet::bgp

@@ -1,101 +1,67 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "bgp/as_path.hpp"
 #include "net/types.hpp"
 
 namespace rfdnet::bgp {
 
 /// Hash-consed AS-path storage (the flyweight trick SSFNet-scale BGP
-/// simulators use to reach thousand-node topologies): every distinct hop
-/// sequence is stored exactly once, and `AsPath` handles point at the shared
-/// node. Equality between paths from the same table is a pointer compare;
-/// length and the loop-detection bloom filter are precomputed per node.
+/// simulators use to reach thousand-node topologies). A path is a cell
+/// (head AS, tail path); each distinct (tail, head) pair is built once, so
+/// paths share their suffixes: [3 2 1] builds [1], [2 1] and [3 2 1]. One
+/// map keyed by (tail id, head) is both the intern index and the prepend
+/// memo, which makes the per-decision export prepend one lookup.
 ///
 /// Ownership rules (see DESIGN.md §4):
-///  * One table per thread (`PathTable::local()`). A simulation runs wholly
-///    on one thread — parallelism lives *across* trials — so the hot path
-///    never takes a lock.
-///  * The table is append-only for the lifetime of its thread. Nodes are
-///    never freed or moved (the map is node-based), so an `AsPathRef` can
-///    never dangle, no matter how many engines, networks or experiment runs
-///    come and go on the thread. Hash-consing keeps growth bounded by the
-///    number of *distinct* paths ever seen, which repeated trials share.
+///  * A network owns its table (a sharded network one per shard), and every
+///    non-empty path its routers and messages hold was made by that table.
+///    A run's paths therefore die with its network.
+///  * Cells live in a deque and never move, so a handle stays valid as long
+///    as its table.
+///  * A table is not thread-safe. A shard's table is used only by the thread
+///    running that shard; a cross-shard update carries hops, not a handle.
 class PathTable {
  public:
-  /// One interned path. `hops` points at the intern key inside the table
-  /// (stable for the table's lifetime); `bloom` is the OR of one hash-picked
-  /// bit per hop, so a clear bit proves an AS is absent without scanning.
-  struct Node {
-    const std::vector<net::NodeId>* hops = nullptr;
-    std::uint64_t bloom = 0;
-    std::uint32_t id = 0;  ///< sequential per table, in intern order
-    const PathTable* owner = nullptr;
-    /// Prepend memo: head AS -> interned one-hop-longer path. Makes the
-    /// per-decision export prepend O(1) after the first fan-out.
-    mutable std::unordered_map<net::NodeId, const Node*> prepends;
-  };
-
-  /// Allocation/intern counters (fed into `sim::EngineProfile` by the
-  /// experiment driver; also the basis of the export-hoist regression test).
-  /// `intern_requests` counts every intern/origin/prepend call and is a pure
-  /// function of the event sequence; `node_builds` (hash-cons misses) and
-  /// `prepend_hits` additionally depend on how warm the table already is.
+  /// Interning counters, fed into `sim::EngineProfile::Alloc` by the serial
+  /// driver. Each is a pure function of the calls made on this table:
+  /// `intern_requests` counts every `origin` / `prepend` / `from_hops`
+  /// call, `node_builds` the cells built, and `prepend_hits` the `origin` /
+  /// `prepend` calls whose cell already existed.
   struct Stats {
     std::uint64_t intern_requests = 0;
     std::uint64_t node_builds = 0;
     std::uint64_t prepend_hits = 0;
-    std::uint64_t unique_paths = 0;  ///< live nodes, the empty path included
   };
 
-  PathTable();
+  PathTable() = default;
   PathTable(const PathTable&) = delete;
   PathTable& operator=(const PathTable&) = delete;
 
-  /// The table every `AsPath` on this thread interns into: the bound table
-  /// (see `bind_local`) when one is installed, else the thread's own
-  /// thread-local table.
-  static PathTable& local();
+  /// The single-hop path [as].
+  AsPath origin(net::NodeId as) { return prepend(AsPath(), as); }
+  /// [as] + tail. `tail` must be empty or made by this table.
+  AsPath prepend(const AsPath& tail, net::NodeId as);
+  /// The path with these hops, front first, built by prepending from the
+  /// back (a cross-shard update re-interns its hops this way).
+  AsPath from_hops(const std::vector<net::NodeId>& hops);
 
-  /// Redirects this *thread's* `local()` to `table` (nullptr restores the
-  /// default thread-local table). Sharded runs own one table per shard and
-  /// bind it from whichever worker thread executes the shard each round, so
-  /// interned handles survive the worker threads that created them (the
-  /// tables outlive the run; thread-local tables would die with their
-  /// threads). The caller is responsible for the usual append-only
-  /// lifetime rules and for exclusive use: a bound table must only ever be
-  /// used by one thread at a time.
-  static void bind_local(PathTable* table);
-
-  /// Bloom bit for one AS id (one of 64, hash-picked).
-  static std::uint64_t bloom_bit(net::NodeId as);
-
-  const Node* empty_path() const { return empty_; }
-  /// Interns `hops`, returning the unique node for that sequence.
-  const Node* intern(std::vector<net::NodeId> hops);
-  /// Interns the single-hop path [as] (memoized: origins are re-made on
-  /// every decision-process run).
-  const Node* origin(net::NodeId as);
-  /// Interns [as] + tail. Memoized on `tail` when it lives in this table.
-  const Node* prepend(const Node* tail, net::NodeId as);
-
-  Stats stats() const;
+  const Stats& stats() const { return stats_; }
 
  private:
-  struct VecHash {
-    std::size_t operator()(const std::vector<net::NodeId>& v) const;
-  };
+  /// The cell for (tail, head), and whether this call built it.
+  std::pair<const PathCell*, bool> cell(const PathCell* tail,
+                                        net::NodeId head);
 
-  // Node-based map: element (and key) addresses survive rehashing, which is
-  // what lets Node::hops alias its own key and handles stay valid forever.
-  std::unordered_map<std::vector<net::NodeId>, Node, VecHash> nodes_;
-  std::unordered_map<net::NodeId, const Node*> origins_;
-  const Node* empty_ = nullptr;
-  std::uint32_t next_id_ = 0;
-  mutable Stats stats_;
+  std::deque<PathCell> cells_;
+  /// (tail id << 32 | head) -> cell; tail id 0 is the empty path.
+  std::unordered_map<std::uint64_t, const PathCell*> index_;
+  Stats stats_;
 };
 
 }  // namespace rfdnet::bgp

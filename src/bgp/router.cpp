@@ -27,14 +27,16 @@ struct ReclaimLater {
 
 BgpRouter::BgpRouter(net::NodeId id, std::vector<PeerInfo> peers,
                      const TimingConfig& cfg, const Policy& policy,
-                     sim::Engine& engine, sim::Rng& rng, SendFn send,
-                     Observer* observer, RibBackendKind rib_backend)
+                     sim::Engine& engine, sim::Rng& rng, PathTable& paths,
+                     SendFn send, Observer* observer,
+                     RibBackendKind rib_backend)
     : id_(id),
       peers_(std::move(peers)),
       cfg_(cfg),
       policy_(policy),
       engine_(engine),
       rng_(rng),
+      paths_(paths),
       send_(std::move(send)),
       observer_(observer),
       session_open_(peers_.size(), true),
@@ -186,7 +188,7 @@ bool BgpRouter::process(Prefix p, Row& row,
   bool have = false;
   int best_slot = kNoneSlot;
   if (row.originated) {
-    self_route = Route{AsPath::origin(id_), kWirePref};
+    self_route = Route{paths_.origin(id_), kWirePref};
     best = Candidate{&self_route, id_, true};
     best_slot = kSelfSlot;
     have = true;
@@ -296,7 +298,7 @@ Route BgpRouter::export_route(const Row& row) const {
   // starts (and ends) with it.
   AsPath exported = (row.from_slot == kSelfSlot)
                         ? row.best->path
-                        : row.best->path.prepended(id_);
+                        : paths_.prepend(row.best->path, id_);
   return Route{std::move(exported), kWirePref};
 }
 

@@ -10,6 +10,7 @@
 #include "bgp/damping_hook.hpp"
 #include "bgp/message.hpp"
 #include "bgp/observer.hpp"
+#include "bgp/path_table.hpp"
 #include "bgp/policy.hpp"
 #include "bgp/prefix.hpp"
 #include "bgp/rib_backend.hpp"
@@ -29,7 +30,9 @@ namespace rfdnet::bgp {
 /// consults the damping hook, runs the decision process under a `Policy`,
 /// and emits updates to peers subject to export rules and per-(peer, prefix)
 /// MRAI pacing. Message transport (delay, delivery) is delegated to the
-/// owner via `SendFn` so the router is unit-testable in isolation.
+/// owner via `SendFn` so the router is unit-testable in isolation. Every
+/// path the router makes (its origin path, each export prepend) comes from
+/// `paths`, the table of the network it belongs to.
 class BgpRouter {
  public:
   struct PeerInfo {
@@ -43,7 +46,8 @@ class BgpRouter {
 
   BgpRouter(net::NodeId id, std::vector<PeerInfo> peers,
             const TimingConfig& cfg, const Policy& policy, sim::Engine& engine,
-            sim::Rng& rng, SendFn send, Observer* observer = nullptr,
+            sim::Rng& rng, PathTable& paths, SendFn send,
+            Observer* observer = nullptr,
             RibBackendKind rib_backend = RibBackendKind::kHashMap);
 
   net::NodeId id() const { return id_; }
@@ -221,6 +225,7 @@ class BgpRouter {
   const Policy& policy_;
   sim::Engine& engine_;
   sim::Rng& rng_;
+  PathTable& paths_;
   SendFn send_;
   Observer* observer_;
   DampingHook* damper_ = nullptr;

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bgp/as_path.hpp"
-
 namespace rfdnet::bgp {
 
 namespace {
@@ -54,9 +52,6 @@ ShardedBgpNetwork::ShardedBgpNetwork(const net::Graph& graph,
     pools_.push_back(std::make_unique<UpdateMessagePool>());
   }
   delivered_.resize(k);
-  engine_.set_thread_init(
-      [this](int s) { PathTable::bind_local(tables_[s].get()); });
-  engine_.set_thread_fini([](int) { PathTable::bind_local(nullptr); });
 
   // Per-router MRAI-jitter streams: one generator per router, sub-seeded
   // from the root seed and the node id, so a router draws the same jitter
@@ -82,17 +77,15 @@ ShardedBgpNetwork::ShardedBgpNetwork(const net::Graph& graph,
       peers.push_back(BgpRouter::PeerInfo{e.neighbor, e.rel});
     }
     const int s = shard_of(u);
-    // Anything the constructor interns must land in the shard's table.
-    PathTable::bind_local(tables_[static_cast<std::size_t>(s)].get());
     routers_.push_back(std::make_unique<BgpRouter>(
         u, std::move(peers), cfg, policy, engine_.shard(s), router_rngs_[u],
+        *tables_[static_cast<std::size_t>(s)],
         [this, first = first_wire[u]](int slot, const UpdateMessage& msg) {
           transmit(first + static_cast<std::uint32_t>(slot), msg);
         },
         observers.empty() ? nullptr : observers[static_cast<std::size_t>(s)],
         rib_backend));
   }
-  PathTable::bind_local(nullptr);
 
   // Directed wires in graph order: the index is a pure function of the
   // graph, so delivery keys and per-wire PRNG streams are identical for
@@ -182,13 +175,14 @@ void ShardedBgpNetwork::deliver_cross(const Envelope& env) {
   UpdateMessage msg;
   msg.prefix = env.prefix;
   msg.kind = env.kind;
+  // Only the wire's fixed fields are read here, on the receiver's thread.
+  const Wire& wire = wires_[env.wire];
   if (env.has_route) {
-    msg.route = Route{AsPath::from_hops(env.hops), env.local_pref};
+    PathTable& paths = *tables_[static_cast<std::size_t>(wire.dest_shard)];
+    msg.route = Route{paths.from_hops(env.hops), env.local_pref};
   }
   msg.rc = env.rc;
   msg.rel_pref = env.rel_pref;
-  // Only the wire's fixed fields are read here, on the receiver's thread.
-  const Wire& wire = wires_[env.wire];
   ++delivered_[static_cast<std::size_t>(wire.dest_shard)].value;
   routers_[wire.to]->receive(wire.to_slot, msg);
 }

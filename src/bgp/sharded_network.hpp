@@ -31,9 +31,9 @@ namespace rfdnet::bgp {
 ///    stream, and MRAI jitter from a per-router stream — no draw shares a
 ///    generator with another entity, so draw order across shards is
 ///    irrelevant.
-///  * AS paths intern into one `PathTable` per shard (bound to whichever
-///    thread runs the shard via the engine's thread hooks); a cross-shard
-///    announcement materializes its hops and re-interns them on arrival.
+///  * AS paths intern into one `PathTable` per shard, handed to the shard's
+///    routers at construction; a cross-shard announcement materializes its
+///    hops and re-interns them into the destination shard's table.
 ///
 /// Deliberately narrower than `BgpNetwork`: no link flapping, no fault
 /// perturbation, no causal spans (a cross-shard update would lose its span
@@ -44,8 +44,7 @@ class ShardedBgpNetwork {
   /// `graph`, `part`, `cfg`, `policy` and `engine` must outlive the network.
   /// `observers[s]` (optional, else all-null) observes the routers of shard
   /// `s` — events land on the recorder of the shard that executes them.
-  /// `seed` roots the per-router / per-wire PRNG streams. Installs this
-  /// network's path-table binding as the engine's thread init/fini hooks.
+  /// `seed` roots the per-router / per-wire PRNG streams.
   ShardedBgpNetwork(const net::Graph& graph, const net::Partition& part,
                     const TimingConfig& cfg, const Policy& policy,
                     sim::ShardedEngine& engine, std::uint64_t seed,

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "bgp/network.hpp"
-#include "bgp/path_table.hpp"
 #include "core/cli.hpp"
 #include "core/config_validate.hpp"
 #include "core/scaffold.hpp"
@@ -161,9 +160,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (profiling) engine.set_profile(&profile);
   scaffold::install_heartbeat(engine, cfg.heartbeat_s);
 
-  // Interning stats are per-thread and cumulative; delta against this
-  // snapshot at the end isolates what *this* run requested.
-  const bgp::PathTable::Stats intern_before = bgp::PathTable::local().stats();
   bgp::BgpNetwork network(graph, cfg.timing, *world.policy, engine, world.rng,
                           &recorder);
   if (spans) network.set_span_tracer(spans.get());
@@ -350,13 +346,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     }
   }
   if (profiling) {
-    const bgp::PathTable::Stats intern_now = bgp::PathTable::local().stats();
+    const bgp::PathTable::Stats& paths = network.paths().stats();
     const bgp::UpdateMessagePool::Stats& pool = network.message_pool().stats();
-    profile.alloc.intern_requests =
-        intern_now.intern_requests - intern_before.intern_requests;
-    profile.alloc.node_builds = intern_now.node_builds - intern_before.node_builds;
-    profile.alloc.prepend_hits =
-        intern_now.prepend_hits - intern_before.prepend_hits;
+    profile.alloc.intern_requests = paths.intern_requests;
+    profile.alloc.node_builds = paths.node_builds;
+    profile.alloc.prepend_hits = paths.prepend_hits;
     profile.alloc.pool_acquired = pool.acquired;
     profile.alloc.pool_reused = pool.reused;
     profile.alloc.pool_high_water = pool.high_water;

@@ -102,7 +102,7 @@ ShardedExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
   sim::Engine& origin_engine = engine.shard(network.shard_of(origin));
 
   // --- Warm-up. Origination runs as a scheduled event so it executes on
-  // the owning shard's thread, with that shard's path table bound.
+  // the owning shard's thread.
   origin_engine.schedule_keyed(
       sim::SimTime::zero(), keys.next(),
       [&origin_router] { origin_router.originate(kPrefix); },

@@ -51,27 +51,6 @@ SweepPoint run_trial(const ExperimentConfig& base, std::uint64_t seed,
 
 }  // namespace
 
-SweepResult run_pulse_sweep(const ExperimentConfig& base, int max_pulses,
-                            ParallelRunner* runner) {
-  SweepResult out;
-  out.points.resize(static_cast<std::size_t>(std::max(0, max_pulses)));
-  std::vector<obs::Registry> trial_metrics(out.points.size());
-  std::vector<sim::EngineProfile> trial_profiles(out.points.size());
-  ParallelRunner& pool = runner ? *runner : ParallelRunner::shared();
-  pool.for_each(out.points.size(), [&](std::size_t i) {
-    out.points[i] = run_trial(
-        base, base.seed, static_cast<int>(i) + 1,
-        base.collect_metrics || base.collect_stability ? &trial_metrics[i]
-                                                       : nullptr,
-        base.profile ? &trial_profiles[i] : nullptr);
-  });
-  // Canonical merge order (ascending pulse count): identical result for any
-  // worker schedule.
-  for (const auto& m : trial_metrics) out.metrics.merge(m);
-  for (const auto& p : trial_profiles) out.profile.merge(p);
-  return out;
-}
-
 SweepResult run_pulse_sweep_median(const ExperimentConfig& base,
                                    int max_pulses, int seeds,
                                    ParallelRunner* runner) {

@@ -30,23 +30,19 @@ struct SweepResult {
   sim::EngineProfile profile;
 };
 
-/// Runs `base` for pulses = 1..max_pulses (same seed/topology per point) and
-/// pairs each simulated result with the intended-behavior calculation.
-/// When `base.damping` is unset the intended column falls back to the
-/// measured warm-up t_up (no-damping convergence).
+/// Runs `base` for pulses = 1..max_pulses across `seeds` seeds (base.seed,
+/// base.seed+1, ...; same topology per point) and pairs each point with the
+/// intended-behavior calculation. Each point reports the per-seed median of
+/// convergence time, message count and the intended calculation, which
+/// smooths the run-to-run jitter of a single seed; `seeds` = 1 is the plain
+/// single-seed sweep. When `base.damping` is unset the intended column falls
+/// back to the measured warm-up t_up (no-damping convergence).
 ///
-/// Trials are fully independent — one `Engine` and one `Rng` per trial — and
-/// dispatch through `runner` (default: `ParallelRunner::shared()`). Points
-/// are merged in canonical pulse order, so the result is identical to a
-/// serial run for the same config.
-SweepResult run_pulse_sweep(const ExperimentConfig& base, int max_pulses,
-                            ParallelRunner* runner = nullptr);
-
-/// Same sweep across `seeds` different seeds (base.seed, base.seed+1, ...),
-/// reporting the per-point median of convergence time, message count and the
-/// intended calculation — smooths the run-to-run jitter of a single seed.
-/// All seeds × pulses trials go through `runner` as one flat batch; merge
-/// order is canonical `(point, seed)` regardless of completion order.
+/// Trials are fully independent — one `Engine` and one `Rng` per trial —
+/// and all seeds × pulses go through `runner` (default:
+/// `ParallelRunner::shared()`) as one flat batch. Merge order is canonical
+/// `(point, seed)` regardless of completion order, so the result is
+/// identical to a serial run of the same config.
 SweepResult run_pulse_sweep_median(const ExperimentConfig& base,
                                    int max_pulses, int seeds,
                                    ParallelRunner* runner = nullptr);

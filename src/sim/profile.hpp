@@ -41,17 +41,15 @@ struct EngineProfile {
   };
 
   /// Allocation-avoidance counters of the BGP propagation hot path: AS-path
-  /// interning (`bgp::PathTable`) and in-flight message recycling
-  /// (`bgp::UpdateMessagePool`). `intern_requests` and the pool totals are
-  /// pure functions of the event sequence; `node_builds` / `prepend_hits`
-  /// depend on how warm the thread-local path table already is, which
-  /// differs between serial and `--jobs` runs of the same sweep. The whole
-  /// block is therefore excluded from `write_json` by default, like wall
-  /// time, so the `--profile` artifact stays byte-identical.
+  /// interning (the run's `bgp::PathTable`) and in-flight message recycling
+  /// (`bgp::UpdateMessagePool`). Each run interns into a fresh table, so
+  /// every counter is a pure function of the run. `write_json` writes the
+  /// block only with `include_volatile`, next to the wall times, so the
+  /// default `--profile` artifact does not carry it.
   struct Alloc {
-    std::uint64_t intern_requests = 0;  ///< AsPath intern/prepend requests
-    std::uint64_t node_builds = 0;      ///< requests that built a new node
-    std::uint64_t prepend_hits = 0;     ///< requests served by the memo
+    std::uint64_t intern_requests = 0;  ///< origin/prepend/from_hops calls
+    std::uint64_t node_builds = 0;      ///< path cells built
+    std::uint64_t prepend_hits = 0;     ///< prepends whose cell existed
     std::uint64_t pool_acquired = 0;    ///< message-pool acquires
     std::uint64_t pool_reused = 0;      ///< acquires served by the freelist
     std::uint64_t pool_high_water = 0;  ///< max in-flight slots (merge: max)
@@ -75,7 +73,7 @@ struct EngineProfile {
   /// {"generic":{"scheduled":N,"fired":N,"cancelled":N},...}. With
   /// `include_volatile`, each row gains "wall_ns" and a trailing "alloc"
   /// object carries the interning/pool counters — off by default because
-  /// wall time and table-warmth counters are the non-deterministic fields.
+  /// wall time is not deterministic.
   void write_json(std::ostream& os, bool include_volatile = false) const;
   std::string json(bool include_volatile = false) const;
 };

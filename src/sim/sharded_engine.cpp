@@ -123,7 +123,6 @@ std::uint64_t ShardedEngine::run(SimTime horizon) {
   if (k == 1) {
     // Serial fallback: no threads, no barrier — just the engine, plus an
     // admit loop in case anything was posted to the lone shard.
-    if (init_) init_(0);
     Engine& e = *engines_[0];
     if (heartbeat_) e.set_heartbeat(heartbeat_);
     const SimTime end = horizon == SimTime::max()
@@ -150,7 +149,6 @@ std::uint64_t ShardedEngine::run(SimTime horizon) {
       if (!admitted_any && ran == 0) break;
     }
     if (heartbeat_) e.set_heartbeat(nullptr);
-    if (fini_) fini_(0);
     stats_.cross_posted = cross_posted_.load(std::memory_order_relaxed);
     stats_.cross_admitted = cross_admitted_.load(std::memory_order_relaxed);
     stats_.executed = executed_.load(std::memory_order_relaxed);
@@ -226,7 +224,6 @@ std::uint64_t ShardedEngine::run(SimTime horizon) {
               .count());
     };
     try {
-      if (init_) init_(s);
       Engine& e = *engines_[static_cast<std::size_t>(s)];
       for (;;) {
         round.local_next[static_cast<std::size_t>(s)] = local_next(s);
@@ -273,7 +270,6 @@ std::uint64_t ShardedEngine::run(SimTime horizon) {
     // wait_ns already reached barrier_wait_ns_ round by round (see above).
     close_wait_ns_.fetch_add(close_ns, std::memory_order_relaxed);
     busy_ns_.fetch_add(busy_ns, std::memory_order_relaxed);
-    if (fini_) fini_(s);
   };
 
   std::vector<std::thread> workers;

@@ -71,13 +71,6 @@ class ShardedEngine {
   void set_lookahead(Duration d) { lookahead_ = d; }
   Duration lookahead() const { return lookahead_; }
 
-  /// Per-shard-thread hooks: `init` runs on the thread executing shard `s`
-  /// before its first round (bind thread-local state, e.g. the shard's
-  /// AS-path table), `fini` after its last. Both also run around the serial
-  /// fallback. Not owned.
-  void set_thread_init(std::function<void(int)> fn) { init_ = std::move(fn); }
-  void set_thread_fini(std::function<void(int)> fn) { fini_ = std::move(fn); }
-
   /// Barrier-aligned sim-time sampling: during `run`, each shard invokes
   /// `fn(s, t)` at every grid instant `t = first + k * period` it reaches,
   /// after every event of shard `s` at or before `t` has executed and
@@ -158,8 +151,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   Duration lookahead_ = Duration::zero();
-  std::function<void(int)> init_;
-  std::function<void(int)> fini_;
   std::function<void(int, SimTime)> sample_fn_;
   Duration sample_period_ = Duration::zero();
   std::vector<SimTime> sample_cursor_;  ///< next unsampled grid instant

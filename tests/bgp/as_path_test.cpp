@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bgp/path_table.hpp"
 #include "bgp/route.hpp"
 
 namespace rfdnet::bgp {
@@ -14,53 +15,62 @@ TEST(AsPath, DefaultIsEmpty) {
 }
 
 TEST(AsPath, OriginSingleHop) {
-  const AsPath p = AsPath::origin(7);
+  PathTable paths;
+  const AsPath p = paths.origin(7);
   EXPECT_EQ(p.length(), 1u);
   EXPECT_EQ(p.front(), 7u);
-  EXPECT_EQ(p.origin_as(), 7u);
+  EXPECT_EQ(p.hops(), (std::vector<net::NodeId>{7}));
 }
 
 TEST(AsPath, PrependBuildsPath) {
-  const AsPath p = AsPath::origin(1).prepended(2).prepended(3);
+  PathTable paths;
+  const AsPath p = paths.prepend(paths.prepend(paths.origin(1), 2), 3);
   EXPECT_EQ(p.length(), 3u);
   EXPECT_EQ(p.front(), 3u);
-  EXPECT_EQ(p.origin_as(), 1u);
   EXPECT_EQ(p.hops(), (std::vector<net::NodeId>{3, 2, 1}));
+  EXPECT_EQ(p, paths.from_hops({3, 2, 1}));
 }
 
 TEST(AsPath, PrependDoesNotMutate) {
-  const AsPath p = AsPath::origin(1);
-  const AsPath q = p.prepended(2);
+  PathTable paths;
+  const AsPath p = paths.origin(1);
+  const AsPath q = paths.prepend(p, 2);
   EXPECT_EQ(p.length(), 1u);
   EXPECT_EQ(q.length(), 2u);
 }
 
 TEST(AsPath, Contains) {
-  const AsPath p = AsPath::origin(1).prepended(2).prepended(3);
+  PathTable paths;
+  const AsPath p = paths.from_hops({3, 2, 1});
   EXPECT_TRUE(p.contains(1));
   EXPECT_TRUE(p.contains(2));
   EXPECT_TRUE(p.contains(3));
   EXPECT_FALSE(p.contains(4));
+  EXPECT_FALSE(AsPath().contains(1));
 }
 
 TEST(AsPath, Equality) {
-  const AsPath a = AsPath::origin(1).prepended(2);
-  const AsPath b = AsPath::origin(1).prepended(2);
-  const AsPath c = AsPath::origin(1).prepended(3);
+  PathTable paths;
+  const AsPath a = paths.from_hops({2, 1});
+  const AsPath b = paths.from_hops({2, 1});
+  const AsPath c = paths.from_hops({3, 1});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_NE(a, AsPath::origin(1));
+  EXPECT_NE(a, paths.origin(1));
+  EXPECT_NE(a, AsPath());
 }
 
 TEST(AsPath, ToString) {
-  EXPECT_EQ(AsPath::origin(1).prepended(2).to_string(), "[2 1]");
+  PathTable paths;
+  EXPECT_EQ(paths.from_hops({2, 1}).to_string(), "[2 1]");
   EXPECT_EQ(AsPath().to_string(), "[]");
 }
 
 TEST(Route, EqualityIncludesPref) {
-  const Route a{AsPath::origin(1), 100};
-  const Route b{AsPath::origin(1), 100};
-  const Route c{AsPath::origin(1), 200};
+  PathTable paths;
+  const Route a{paths.origin(1), 100};
+  const Route b{paths.origin(1), 100};
+  const Route c{paths.origin(1), 200};
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
 }

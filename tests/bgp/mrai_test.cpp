@@ -24,7 +24,7 @@ class MraiTest : public ::testing::Test {
         5,
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
-        cfg_, policy_, engine_, rng_,
+        cfg_, policy_, engine_, rng_, paths_,
         [this](int slot, const UpdateMessage& m) {
           sent_.emplace_back(router_->peer(slot).id, m, engine_.now());
         });
@@ -36,18 +36,19 @@ class MraiTest : public ::testing::Test {
     return n;
   }
 
+  Route path1(net::NodeId a) { return Route{paths_.origin(a), 0}; }
+  Route path2(net::NodeId a, net::NodeId b) {
+    return Route{paths_.from_hops({a, b}), 0};
+  }
+
   TimingConfig cfg_;
   ShortestPathPolicy policy_;
+  PathTable paths_;
   sim::Engine engine_;
   sim::Rng rng_{1};
   std::vector<std::tuple<net::NodeId, UpdateMessage, sim::SimTime>> sent_;
   std::unique_ptr<BgpRouter> router_;
 };
-
-Route path1(net::NodeId a) { return Route{AsPath::origin(a), 0}; }
-Route path2(net::NodeId a, net::NodeId b) {
-  return Route{AsPath::origin(b).prepended(a), 0};
-}
 
 TEST_F(MraiTest, PrefixesRateLimitIndependently) {
   make(30.0);

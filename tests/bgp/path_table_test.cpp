@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include "bgp/as_path.hpp"
@@ -19,113 +19,89 @@ namespace {
 
 TEST(PathTable, HashConsingReturnsOneNodePerSequence) {
   PathTable table;
-  const auto base_builds = table.stats().node_builds;  // ctor interns {}
-  const PathTable::Node* a = table.intern({3, 2, 1});
-  const PathTable::Node* b = table.intern({3, 2, 1});
-  const PathTable::Node* c = table.intern({1, 2, 3});
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(*a->hops, (std::vector<net::NodeId>{3, 2, 1}));
-  // Empty path, {3,2,1}, {1,2,3}: three live nodes, two built here.
-  EXPECT_EQ(table.stats().unique_paths, 3u);
-  EXPECT_EQ(table.stats().node_builds, base_builds + 2);
+  const AsPath a = table.from_hops({3, 2, 1});
+  const AsPath b = table.from_hops({3, 2, 1});
+  const AsPath c = table.from_hops({1, 2, 3});
+  EXPECT_EQ(a.ref(), b.ref());
+  EXPECT_NE(a.ref(), c.ref());
+  EXPECT_EQ(a.hops(), (std::vector<net::NodeId>{3, 2, 1}));
+  // One cell per suffix: [1], [2 1], [3 2 1], then [3], [2 3], [1 2 3].
+  EXPECT_EQ(table.stats().node_builds, 6u);
+  EXPECT_EQ(table.stats().intern_requests, 3u);
 }
 
-TEST(PathTable, EmptyPathIsPreInterned) {
+TEST(PathTable, EmptyPathNeedsNoTable) {
   PathTable table;
-  EXPECT_NE(table.empty_path(), nullptr);
-  EXPECT_TRUE(table.empty_path()->hops->empty());
-  EXPECT_EQ(table.intern({}), table.empty_path());
+  EXPECT_EQ(AsPath().ref(), nullptr);
+  EXPECT_TRUE(table.from_hops({}).empty());
+  EXPECT_EQ(table.from_hops({}), AsPath());
+  EXPECT_EQ(table.stats().node_builds, 0u);
+  // A prepend onto the empty path is the origin path.
+  EXPECT_EQ(table.prepend(AsPath(), 4).ref(), table.origin(4).ref());
 }
 
 TEST(PathTable, OriginIsMemoized) {
   PathTable table;
-  const PathTable::Node* a = table.origin(42);
+  const AsPath a = table.origin(42);
   const auto builds = table.stats().node_builds;
-  const PathTable::Node* b = table.origin(42);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(table.stats().node_builds, builds);  // memo hit, no new node
-  EXPECT_GT(table.stats().prepend_hits, 0u);
+  const AsPath b = table.origin(42);
+  EXPECT_EQ(a.ref(), b.ref());
+  EXPECT_EQ(table.stats().node_builds, builds);  // memo hit, no new cell
+  EXPECT_EQ(table.stats().prepend_hits, 1u);
 }
 
 TEST(PathTable, PrependMemoizesAndSharesTheTail) {
   PathTable table;
-  const PathTable::Node* tail = table.intern({5, 9});
-  const PathTable::Node* a = table.prepend(tail, 7);
+  const AsPath tail = table.from_hops({5, 9});
+  const AsPath a = table.prepend(tail, 7);
   const auto builds = table.stats().node_builds;
-  const PathTable::Node* b = table.prepend(tail, 7);
-  EXPECT_EQ(a, b);  // identical node, served from the tail's memo
+  const AsPath b = table.prepend(tail, 7);
+  EXPECT_EQ(a.ref(), b.ref());  // identical cell, served from the index
   EXPECT_EQ(table.stats().node_builds, builds);
-  EXPECT_EQ(*a->hops, (std::vector<net::NodeId>{7, 5, 9}));
+  EXPECT_EQ(a.hops(), (std::vector<net::NodeId>{7, 5, 9}));
+  EXPECT_EQ(a.ref()->tail, tail.ref());  // the tail is shared, not copied
 
-  // A different head on the same tail is a different node; the tail itself
+  // A different head on the same tail is a different cell; the tail itself
   // is never duplicated.
-  const PathTable::Node* c = table.prepend(tail, 8);
-  EXPECT_NE(c, a);
-  EXPECT_EQ(table.prepend(c, 7)->hops->size(), 4u);
+  const AsPath c = table.prepend(tail, 8);
+  EXPECT_NE(c.ref(), a.ref());
+  EXPECT_EQ(table.prepend(c, 7).length(), 4u);
+}
+
+TEST(PathTable, RejectsATailFromAnotherTable) {
+  PathTable mine;
+  PathTable other;
+  EXPECT_THROW(mine.prepend(other.origin(1), 2), std::invalid_argument);
 }
 
 TEST(PathTable, BloomBitsCoverEveryHop) {
   PathTable table;
-  const PathTable::Node* n = table.intern({1, 17, 900001});
-  for (const net::NodeId as : *n->hops) {
-    EXPECT_NE(n->bloom & PathTable::bloom_bit(as), 0u);
+  const AsPath p = table.from_hops({1, 17, 900001});
+  for (const net::NodeId as : p.hops()) {
+    EXPECT_NE(p.ref()->bloom & AsPath::bloom_bit(as), 0u);
   }
-  EXPECT_EQ(table.empty_path()->bloom, 0u);
 }
 
-TEST(PathTable, InternIdsAreDeterministicAcrossThreads) {
-  // Two workers run the same canonical intern sequence against their own
-  // fresh thread-local tables; hash-consing plus intern-order ids must give
-  // identical ids on both. This is what keeps `--jobs` sweeps equivalent to
-  // serial runs: a trial sees the same ids no matter which worker it lands
-  // on (ids never reach artifacts, but determinism here keeps any use of
-  // them — ordering, debugging — reproducible).
-  auto run_sequence = [] {
-    std::vector<std::uint32_t> ids;
-    const AsPath a = AsPath::origin(5);
-    const AsPath b = a.prepended(7);
-    const AsPath c = b.prepended(9);
-    const AsPath d = a.prepended(7);  // memo hit: same id as b
-    ids.push_back(a.intern_id());
-    ids.push_back(b.intern_id());
-    ids.push_back(c.intern_id());
-    ids.push_back(d.intern_id());
-    return ids;
-  };
-  std::vector<std::uint32_t> first, second;
-  std::thread t1([&] { first = run_sequence(); });
-  std::thread t2([&] { second = run_sequence(); });
-  t1.join();
-  t2.join();
-  ASSERT_EQ(first.size(), 4u);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first[1], first[3]);  // the memo hit reused b's node
-}
-
-TEST(PathTable, CrossThreadEqualityComparesHops) {
-  // Paths interned by different tables can't share nodes, but value equality
-  // must still hold. Compared *inside* the worker while both tables are
-  // alive: a handle only outlives its own thread's table, never another's.
-  const AsPath local = AsPath::origin(5).prepended(7);
-  bool equal = false;
-  bool same_node = true;
-  std::thread t([&] {
-    const AsPath mine = AsPath::origin(5).prepended(7);
-    equal = (mine == local);
-    same_node = (mine.ref() == local.ref());
-  });
-  t.join();
-  EXPECT_TRUE(equal);
-  EXPECT_FALSE(same_node);
+TEST(PathTable, CrossTableEqualityComparesHops) {
+  // Paths made by different tables (two networks, or two shards) never
+  // share cells, but value equality must still hold.
+  PathTable one;
+  PathTable two;
+  const AsPath a = one.prepend(one.origin(5), 7);
+  const AsPath b = two.prepend(two.origin(5), 7);
+  EXPECT_TRUE(a == b);
+  EXPECT_NE(a.ref(), b.ref());
+  EXPECT_FALSE(a == two.prepend(two.origin(5), 8));
+  EXPECT_FALSE(a == two.origin(7));
 }
 
 TEST(UpdateMessagePool, RecycledSlotIsScrubbed) {
+  PathTable paths;
   UpdateMessagePool pool;
   const std::uint32_t idx = pool.acquire();
   UpdateMessagePool::Slot& slot = pool.at(idx);
   slot.msg = UpdateMessage::announce(
-      7, Route{AsPath::origin(3), 100},
+      7, Route{paths.origin(3), 100},
       rcn::RootCause{/*u=*/3, /*v=*/4, /*up=*/true, /*seq=*/1});
   slot.msg.rel_pref = RelPref::kWorse;
   slot.msg.span = obs::SpanContext{1, 2, 3};
@@ -172,15 +148,13 @@ TEST(ExportHoist, StarFanOutPrependsOncePerDecision) {
   sim::Rng rng(1);
   BgpNetwork network(g, cfg, policy, engine, rng);
 
-  const PathTable::Stats before = PathTable::local().stats();
   network.router(1).originate(0);
   engine.run();
-  const PathTable::Stats after = PathTable::local().stats();
-  EXPECT_EQ(after.intern_requests - before.intern_requests,
+  EXPECT_EQ(network.paths().stats().intern_requests,
             static_cast<std::uint64_t>(kLeaves) + 2);
 
   // Every non-originating leaf heard the same fan-out copy: value-equal and
-  // — same thread, hash-consed — literally the same interned node.
+  // — one network, one table, hash-consed — literally the same cell.
   const auto hub_best = network.router(0).best(0);
   ASSERT_TRUE(hub_best.has_value());
   for (net::NodeId leaf = 2; leaf <= kLeaves; ++leaf) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/message.hpp"
+#include "bgp/path_table.hpp"
 
 namespace rfdnet::bgp {
 namespace {
@@ -31,39 +32,44 @@ TEST(ShortestPathPolicy, ExportsEverything) {
 }
 
 TEST(Policy, ShorterPathWins) {
+  PathTable paths;
   ShortestPathPolicy p;
-  const Route shorter{AsPath::origin(1).prepended(2), 100};
-  const Route longer{AsPath::origin(1).prepended(3).prepended(4), 100};
+  const Route shorter{paths.from_hops({2, 1}), 100};
+  const Route longer{paths.from_hops({4, 3, 1}), 100};
   EXPECT_TRUE(p.better(cand(shorter, 2), cand(longer, 4)));
   EXPECT_FALSE(p.better(cand(longer, 4), cand(shorter, 2)));
 }
 
 TEST(Policy, HigherLocalPrefBeatsShorterPath) {
+  PathTable paths;
   ShortestPathPolicy p;
-  const Route preferred{AsPath::origin(1).prepended(2).prepended(3), 200};
-  const Route shorter{AsPath::origin(1).prepended(2), 100};
+  const Route preferred{paths.from_hops({3, 2, 1}), 200};
+  const Route shorter{paths.from_hops({2, 1}), 100};
   EXPECT_TRUE(p.better(cand(preferred, 3), cand(shorter, 2)));
 }
 
 TEST(Policy, LowerNeighborIdBreaksTies) {
+  PathTable paths;
   ShortestPathPolicy p;
-  const Route a{AsPath::origin(1).prepended(5), 100};
-  const Route b{AsPath::origin(1).prepended(9), 100};
+  const Route a{paths.from_hops({5, 1}), 100};
+  const Route b{paths.from_hops({9, 1}), 100};
   EXPECT_TRUE(p.better(cand(a, 5), cand(b, 9)));
   EXPECT_FALSE(p.better(cand(b, 9), cand(a, 5)));
 }
 
 TEST(Policy, SelfOriginatedAlwaysWins) {
+  PathTable paths;
   ShortestPathPolicy p;
-  const Route self{AsPath::origin(7), 100};
-  const Route learned{AsPath::origin(1), 500};
+  const Route self{paths.origin(7), 100};
+  const Route learned{paths.origin(1), 500};
   EXPECT_TRUE(p.better(cand(self, 7, true), cand(learned, 1)));
   EXPECT_FALSE(p.better(cand(learned, 1), cand(self, 7, true)));
 }
 
 TEST(Policy, StrictOrderIsIrreflexive) {
+  PathTable paths;
   ShortestPathPolicy p;
-  const Route r{AsPath::origin(1).prepended(2), 100};
+  const Route r{paths.from_hops({2, 1}), 100};
   EXPECT_FALSE(p.better(cand(r, 2), cand(r, 2)));
 }
 
@@ -102,16 +108,18 @@ TEST(NoValleyPolicy, PeerAndProviderRoutesOnlyToCustomers) {
 }
 
 TEST(NoValleyPolicy, CustomerRouteBeatsShorterProviderRoute) {
+  PathTable paths;
   NoValleyPolicy p;
-  Route via_customer{AsPath::origin(1).prepended(2).prepended(3), 0};
+  Route via_customer{paths.from_hops({3, 2, 1}), 0};
   via_customer.local_pref = p.import_pref(net::Relationship::kCustomer);
-  Route via_provider{AsPath::origin(1), 0};
+  Route via_provider{paths.origin(1), 0};
   via_provider.local_pref = p.import_pref(net::Relationship::kProvider);
   EXPECT_TRUE(p.better(cand(via_customer, 3), cand(via_provider, 1)));
 }
 
 TEST(UpdateMessage, FactoriesAndPredicates) {
-  const auto a = UpdateMessage::announce(1, Route{AsPath::origin(2), 100});
+  PathTable paths;
+  const auto a = UpdateMessage::announce(1, Route{paths.origin(2), 100});
   EXPECT_TRUE(a.is_announcement());
   EXPECT_FALSE(a.is_withdrawal());
   ASSERT_TRUE(a.route.has_value());

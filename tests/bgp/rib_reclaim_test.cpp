@@ -19,8 +19,6 @@
 namespace rfdnet::bgp {
 namespace {
 
-Route path1(net::NodeId a) { return Route{AsPath::origin(a), 0}; }
-
 class RibReclaimTest : public ::testing::TestWithParam<RibBackendKind> {
  protected:
   void make(double mrai_s) {
@@ -32,7 +30,7 @@ class RibReclaimTest : public ::testing::TestWithParam<RibBackendKind> {
         5,
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
-        cfg_, policy_, engine_, rng_,
+        cfg_, policy_, engine_, rng_, paths_,
         [this](int, const UpdateMessage&) { ++sent_; },
         nullptr, GetParam());
   }
@@ -42,8 +40,11 @@ class RibReclaimTest : public ::testing::TestWithParam<RibBackendKind> {
     engine_.run();
   }
 
+  Route path1(net::NodeId a) { return Route{paths_.origin(a), 0}; }
+
   TimingConfig cfg_;
   ShortestPathPolicy policy_;
+  PathTable paths_;
   sim::Engine engine_;
   sim::Rng rng_{1};
   std::size_t sent_ = 0;
@@ -140,16 +141,17 @@ TEST(RibReclaimNullTest, NullBackendRetainsNothing) {
   cfg.mrai_jitter_min = 1.0;
   cfg.mrai_jitter_max = 1.0;
   ShortestPathPolicy policy;
+  PathTable paths;
   sim::Engine engine;
   sim::Rng rng{1};
   BgpRouter router(
       5,
       std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                        {2, net::Relationship::kPeer}},
-      cfg, policy, engine, rng, [](int, const UpdateMessage&) {},
+      cfg, policy, engine, rng, paths, [](int, const UpdateMessage&) {},
       nullptr, RibBackendKind::kNull);
   for (Prefix p = 0; p < 20; ++p) {
-    router.deliver(1, UpdateMessage::announce(p, path1(1)));
+    router.deliver(1, UpdateMessage::announce(p, Route{paths.origin(1), 0}));
     router.deliver(1, UpdateMessage::withdraw(p));
   }
   EXPECT_EQ(router.resident_rows(), 0u);

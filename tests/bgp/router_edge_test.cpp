@@ -44,13 +44,14 @@ class RouterEdgeTest : public ::testing::Test {
         0,
         std::vector<BgpRouter::PeerInfo>{{1, net::Relationship::kPeer},
                                          {2, net::Relationship::kPeer}},
-        cfg_, policy_, engine_, rng_,
+        cfg_, policy_, engine_, rng_, paths_,
         [this](int, const UpdateMessage&) { ++wire_; },
         &observer_);
   }
 
   TimingConfig cfg_;
   ShortestPathPolicy policy_;
+  PathTable paths_;
   sim::Engine engine_;
   sim::Rng rng_{1};
   EdgeObserver observer_;
@@ -59,8 +60,8 @@ class RouterEdgeTest : public ::testing::Test {
 };
 
 TEST_F(RouterEdgeTest, MultiplePrefixesIndependentState) {
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
-  router_->deliver(2, UpdateMessage::announce(7, Route{AsPath::origin(2), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
+  router_->deliver(2, UpdateMessage::announce(7, Route{paths_.origin(2), 0}));
   EXPECT_TRUE(router_->best(0).has_value());
   EXPECT_TRUE(router_->best(7).has_value());
   EXPECT_EQ(router_->best_slot(0), 0);
@@ -77,21 +78,21 @@ TEST_F(RouterEdgeTest, UnknownPrefixQueriesAreEmpty) {
 }
 
 TEST_F(RouterEdgeTest, BestChangeEmittedOncePerActualChange) {
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   int best_changes = 0;
   for (const auto& e : observer_.events) best_changes += e.kind == 'b';
   EXPECT_EQ(best_changes, 1);
   // Duplicate announcement: no further best-change.
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   best_changes = 0;
   for (const auto& e : observer_.events) best_changes += e.kind == 'b';
   EXPECT_EQ(best_changes, 1);
 }
 
 TEST_F(RouterEdgeTest, PendingBalancesToZeroWhenIdle) {
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(1), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 9}), 0}));
   router_->deliver(1, UpdateMessage::withdraw(0));
   engine_.run();
   EXPECT_EQ(observer_.pending, 0);
@@ -106,7 +107,7 @@ TEST_F(RouterEdgeTest, ReoriginatingSamePrefixIsIdempotentOnWire) {
 }
 
 TEST_F(RouterEdgeTest, OriginBeatsLearnedRoute) {
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   EXPECT_EQ(router_->best_slot(0), 0);
   router_->originate(0);
   EXPECT_EQ(router_->best_slot(0), -1);  // self
@@ -119,7 +120,7 @@ TEST_F(RouterEdgeTest, OriginBeatsLearnedRoute) {
 
 TEST_F(RouterEdgeTest, RibInIntrospection) {
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(1), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 9}), 0}));
   const auto r = router_->rib_in_route(0, 0);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->path.length(), 2u);
@@ -127,9 +128,9 @@ TEST_F(RouterEdgeTest, RibInIntrospection) {
 }
 
 TEST_F(RouterEdgeTest, SessionDownOnlyAffectsOneSlot) {
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   router_->deliver(
-      2, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(2), 0}));
+      2, UpdateMessage::announce(0, Route{paths_.from_hops({2, 9}), 0}));
   router_->session_down(0);  // peer 1 gone
   EXPECT_FALSE(router_->rib_in_route(0, 0).has_value());
   ASSERT_TRUE(router_->rib_in_route(1, 0).has_value());
@@ -152,7 +153,7 @@ TEST_F(RouterEdgeTest, SessionBadSlotThrows) {
 TEST_F(RouterEdgeTest, SessionUpAdvertisesEveryPrefix) {
   router_->originate(3);
   router_->originate(4);
-  router_->deliver(1, UpdateMessage::announce(5, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(5, Route{paths_.origin(1), 0}));
   wire_ = 0;
   router_->session_down(1);
   wire_ = 0;

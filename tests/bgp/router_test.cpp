@@ -48,7 +48,7 @@ class RouterTest : public ::testing::Test {
     cfg_.mrai_jitter_min = 1.0;  // deterministic MRAI in tests
     cfg_.mrai_jitter_max = 1.0;
     router_ = std::make_unique<BgpRouter>(
-        id, std::move(peers), cfg_, policy_, engine_, rng_,
+        id, std::move(peers), cfg_, policy_, engine_, rng_, paths_,
         [this](int slot, const UpdateMessage& m) {
           sent_.push_back(SentMsg{router_->id(), router_->peer(slot).id, m,
                                   engine_.now()});
@@ -71,6 +71,7 @@ class RouterTest : public ::testing::Test {
 
   TimingConfig cfg_;
   ShortestPathPolicy policy_;
+  PathTable paths_;
   sim::Engine engine_;
   sim::Rng rng_{1};
   std::vector<SentMsg> sent_;
@@ -81,13 +82,15 @@ TEST_F(RouterTest, RejectsBadConstruction) {
   cfg_.mrai_jitter_min = 1.0;
   cfg_.mrai_jitter_max = 1.0;
   EXPECT_THROW(BgpRouter(1, {{1, net::Relationship::kPeer}}, cfg_, policy_,
-                         engine_, rng_, [](int, const UpdateMessage&) {}),
+                         engine_, rng_, paths_,
+                         [](int, const UpdateMessage&) {}),
                std::invalid_argument);  // peer with self
   EXPECT_THROW(
       BgpRouter(1, {{2, net::Relationship::kPeer}, {2, net::Relationship::kPeer}},
-                cfg_, policy_, engine_, rng_, [](int, const UpdateMessage&) {}),
+                cfg_, policy_, engine_, rng_, paths_,
+                [](int, const UpdateMessage&) {}),
       std::invalid_argument);  // duplicate peer
-  EXPECT_THROW(BgpRouter(1, {}, cfg_, policy_, engine_, rng_, nullptr),
+  EXPECT_THROW(BgpRouter(1, {}, cfg_, policy_, engine_, rng_, paths_, nullptr),
                std::invalid_argument);  // no send fn
 }
 
@@ -129,7 +132,7 @@ TEST_F(RouterTest, WithdrawWithoutAnnounceSendsNothing) {
 
 TEST_F(RouterTest, DeliverInstallsRoute) {
   make_router(0, {{1, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   const auto best = router_->best(0);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->path.hops(), (std::vector<net::NodeId>{1}));
@@ -140,17 +143,17 @@ TEST_F(RouterTest, DeliverInstallsRoute) {
 TEST_F(RouterTest, DeliverFromNonPeerThrows) {
   make_router(0, {{1, net::Relationship::kPeer}});
   EXPECT_THROW(
-      router_->deliver(9, UpdateMessage::announce(0, Route{AsPath::origin(9), 0})),
+      router_->deliver(9, UpdateMessage::announce(0, Route{paths_.origin(9), 0})),
       std::logic_error);
 }
 
 TEST_F(RouterTest, LoopedAnnouncementActsAsWithdrawal) {
   make_router(0, {{1, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(2), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(2), 0}));
   ASSERT_TRUE(router_->best(0).has_value());
   // Now peer 1 announces a path that contains us: implicit withdrawal.
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(2).prepended(0).prepended(1), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 0, 2}), 0}));
   EXPECT_FALSE(router_->best(0).has_value());
   EXPECT_FALSE(router_->rib_in_route(0, 0).has_value());
 }
@@ -158,16 +161,16 @@ TEST_F(RouterTest, LoopedAnnouncementActsAsWithdrawal) {
 TEST_F(RouterTest, PicksShorterPathAcrossPeers) {
   make_router(0, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(8).prepended(1), 0}));
-  router_->deliver(2, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(2), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 8, 9}), 0}));
+  router_->deliver(2, UpdateMessage::announce(0, Route{paths_.from_hops({2, 9}), 0}));
   EXPECT_EQ(router_->best_slot(0), 1);  // via peer 2, shorter
 }
 
 TEST_F(RouterTest, FallsBackWhenBestWithdrawn) {
   make_router(0, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 9}), 0}));
   router_->deliver(
-      2, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(8).prepended(2), 0}));
+      2, UpdateMessage::announce(0, Route{paths_.from_hops({2, 8, 9}), 0}));
   EXPECT_EQ(router_->best_slot(0), 0);
   router_->deliver(1, UpdateMessage::withdraw(0));
   EXPECT_EQ(router_->best_slot(0), 1);  // explored the alternate path
@@ -177,7 +180,7 @@ TEST_F(RouterTest, FallsBackWhenBestWithdrawn) {
 
 TEST_F(RouterTest, PropagatesBestChangeWithPrependedPath) {
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   const auto msgs = to_peer(2);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].route->path.hops(), (std::vector<net::NodeId>{5, 1}));
@@ -185,7 +188,7 @@ TEST_F(RouterTest, PropagatesBestChangeWithPrependedPath) {
 
 TEST_F(RouterTest, AdvertisesBackToSenderByDefault) {
   make_router(5, {{1, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   // Default config advertises the best path to everyone, including the peer
   // it was learned from (receiver-side loop detection discards it).
   EXPECT_EQ(to_peer(1).size(), 1u);
@@ -194,16 +197,16 @@ TEST_F(RouterTest, AdvertisesBackToSenderByDefault) {
 TEST_F(RouterTest, NoAdvertiseToSenderWhenDisabled) {
   cfg_.advertise_to_sender = false;
   make_router(5, {{1, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   EXPECT_TRUE(to_peer(1).empty());
 }
 
 TEST_F(RouterTest, DuplicateBestIsNotReannounced) {
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   const auto count_before = to_peer(2).size();
   // Same route again: no new announcement anywhere.
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   EXPECT_EQ(to_peer(2).size(), count_before);
 }
 
@@ -211,12 +214,12 @@ TEST_F(RouterTest, MraiDelaysSecondAnnouncement) {
   cfg_.mrai_s = 30.0;
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
   // First announcement goes out immediately.
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   ASSERT_EQ(to_peer(2).size(), 1u);
   // An alternate route arrives and the best one is withdrawn: the resulting
   // change is held back by MRAI...
   router_->deliver(
-      2, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(2), 0}));
+      2, UpdateMessage::announce(0, Route{paths_.from_hops({2, 9}), 0}));
   router_->deliver(1, UpdateMessage::withdraw(0));
   EXPECT_EQ(to_peer(2).size(), 1u);
   // ...and flushed when the timer expires.
@@ -228,7 +231,7 @@ TEST_F(RouterTest, MraiDelaysSecondAnnouncement) {
 TEST_F(RouterTest, WithdrawalBypassesMrai) {
   cfg_.mrai_s = 30.0;
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   ASSERT_EQ(to_peer(2).size(), 1u);
   router_->deliver(1, UpdateMessage::withdraw(0));
   // The withdrawal is not rate-limited: it goes out at t = 0.
@@ -241,12 +244,12 @@ TEST_F(RouterTest, WithdrawalBypassesMrai) {
 TEST_F(RouterTest, MraiCollapsesTransientChange) {
   cfg_.mrai_s = 30.0;
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   ASSERT_EQ(to_peer(2).size(), 1u);
   // Change away and back within the MRAI window: pending update collapses.
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(1), 0}));
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 9}), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   engine_.run();
   EXPECT_EQ(to_peer(2).size(), 1u);  // nothing new ever sent
 }
@@ -254,9 +257,9 @@ TEST_F(RouterTest, MraiCollapsesTransientChange) {
 TEST_F(RouterTest, ZeroMraiSendsImmediately) {
   cfg_.mrai_s = 0.0;
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(1), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 9}), 0}));
   EXPECT_EQ(to_peer(2).size(), 2u);
   EXPECT_EQ(engine_.now(), sim::SimTime::zero());
 }
@@ -265,7 +268,7 @@ TEST_F(RouterTest, DampingHookSeesUpdatesWithPreviousRoute) {
   make_router(0, {{1, net::Relationship::kPeer}});
   FakeDamper damper;
   router_->set_damping(&damper);
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   EXPECT_EQ(damper.updates_seen, 1);
   EXPECT_FALSE(damper.last_prev.has_value());
   router_->deliver(1, UpdateMessage::withdraw(0));
@@ -279,7 +282,7 @@ TEST_F(RouterTest, DampingHookSeesLoopDeniedFlag) {
   FakeDamper damper;
   router_->set_damping(&damper);
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(2).prepended(0).prepended(1), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 0, 2}), 0}));
   EXPECT_TRUE(damper.last_loop_denied);
   EXPECT_EQ(damper.last_kind, UpdateKind::kWithdrawal);
 }
@@ -289,10 +292,10 @@ TEST_F(RouterTest, SuppressedEntryExcludedFromSelection) {
   FakeDamper damper;
   router_->set_damping(&damper);
   damper.sup.insert({0, 0});  // suppress peer 1's entry
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   EXPECT_FALSE(router_->best(0).has_value());
   router_->deliver(
-      2, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(2), 0}));
+      2, UpdateMessage::announce(0, Route{paths_.from_hops({2, 9}), 0}));
   EXPECT_EQ(router_->best_slot(0), 1);  // longer but usable
 }
 
@@ -301,9 +304,9 @@ TEST_F(RouterTest, ReuseMakesEntryAvailableAndReportsNoisy) {
   FakeDamper damper;
   router_->set_damping(&damper);
   damper.sup.insert({0, 0});
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   router_->deliver(
-      2, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(2), 0}));
+      2, UpdateMessage::announce(0, Route{paths_.from_hops({2, 9}), 0}));
   EXPECT_EQ(router_->best_slot(0), 1);
   damper.sup.clear();
   EXPECT_TRUE(router_->on_reuse(0, 0));   // noisy: best switches to peer 1
@@ -315,7 +318,7 @@ TEST_F(RouterTest, SilentReuseWhenRouteWithdrawn) {
   make_router(0, {{1, net::Relationship::kPeer}});
   FakeDamper damper;
   router_->set_damping(&damper);
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   damper.sup.insert({0, 0});
   router_->deliver(1, UpdateMessage::withdraw(0));  // arrives while suppressed
   damper.sup.clear();
@@ -326,7 +329,7 @@ TEST_F(RouterTest, RootCauseCopiedIntoTriggeredUpdates) {
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
   const rcn::RootCause rc{7, 8, false, 42};
   router_->deliver(1,
-                   UpdateMessage::announce(0, Route{AsPath::origin(1), 0}, rc));
+                   UpdateMessage::announce(0, Route{paths_.origin(1), 0}, rc));
   const auto msgs = to_peer(2);
   ASSERT_EQ(msgs.size(), 1u);
   ASSERT_TRUE(msgs[0].rc.has_value());
@@ -340,7 +343,7 @@ TEST_F(RouterTest, ReuseCarriesStoredRootCause) {
   damper.sup.insert({0, 0});
   const rcn::RootCause rc{7, 8, true, 43};
   router_->deliver(1,
-                   UpdateMessage::announce(0, Route{AsPath::origin(1), 0}, rc));
+                   UpdateMessage::announce(0, Route{paths_.origin(1), 0}, rc));
   EXPECT_TRUE(to_peer(2).empty());  // suppressed, nothing propagated
   damper.sup.clear();
   EXPECT_TRUE(router_->on_reuse(0, 0));
@@ -359,18 +362,18 @@ TEST_F(RouterTest, NoValleyExportFiltering) {
       {1, net::Relationship::kProvider},
       {2, net::Relationship::kPeer},
       {3, net::Relationship::kCustomer}};
-  BgpRouter router(0, peers, cfg_, policy, engine_, rng_,
+  BgpRouter router(0, peers, cfg_, policy, engine_, rng_, paths_,
                    [this, &peers](int slot, const UpdateMessage& m) {
                      sent_.push_back(
                          SentMsg{0, peers[slot].id, m, engine_.now()});
                    });
   // A provider route: export only to the customer.
-  router.deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router.deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   EXPECT_TRUE(to_peer(2).empty());
   EXPECT_EQ(to_peer(3).size(), 1u);
   sent_.clear();
   // A customer route: better (higher pref) and exported everywhere.
-  router.deliver(3, UpdateMessage::announce(0, Route{AsPath::origin(3), 0}));
+  router.deliver(3, UpdateMessage::announce(0, Route{paths_.origin(3), 0}));
   EXPECT_EQ(router.best_slot(0), 2);
   EXPECT_EQ(to_peer(1).size(), 1u);
   EXPECT_EQ(to_peer(2).size(), 1u);
@@ -382,13 +385,13 @@ TEST_F(RouterTest, ExportFlipRequiresWithdrawal) {
   cfg_.mrai_jitter_max = 1.0;
   const std::vector<BgpRouter::PeerInfo> peers = {
       {1, net::Relationship::kCustomer}, {2, net::Relationship::kPeer}};
-  BgpRouter router(0, peers, cfg_, policy, engine_, rng_,
+  BgpRouter router(0, peers, cfg_, policy, engine_, rng_, paths_,
                    [this, &peers](int slot, const UpdateMessage& m) {
                      sent_.push_back(
                          SentMsg{0, peers[slot].id, m, engine_.now()});
                    });
   // Customer route: announced to the peer.
-  router.deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router.deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   ASSERT_EQ(to_peer(2).size(), 1u);
   // Customer withdraws; the only remaining route comes from the peer
   // itself... nothing. Best is gone: peer must receive a withdrawal.
@@ -403,7 +406,7 @@ TEST_F(RouterTest, SenderSideLoopCheckSkipsLoopingPaths) {
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
   // Best learned from 1: exported path [5, 1, ...] contains 1 -> withheld
   // from peer 1 even though advertise_to_sender is on.
-  router_->deliver(1, UpdateMessage::announce(0, Route{AsPath::origin(1), 0}));
+  router_->deliver(1, UpdateMessage::announce(0, Route{paths_.origin(1), 0}));
   EXPECT_TRUE(to_peer(1).empty());
   EXPECT_EQ(to_peer(2).size(), 1u);
 }
@@ -414,12 +417,12 @@ TEST_F(RouterTest, SenderSideLoopCheckWithdrawsWhenBestSwitches) {
   make_router(5, {{1, net::Relationship::kPeer}, {2, net::Relationship::kPeer}});
   // Best via 2 first: announced to 1.
   router_->deliver(
-      2, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(2), 0}));
+      2, UpdateMessage::announce(0, Route{paths_.from_hops({2, 9}), 0}));
   ASSERT_EQ(to_peer(1).size(), 1u);
   // An equal-length route via 1 wins the tie-break: the new export to 1
   // would loop, so peer 1 gets an explicit withdrawal instead.
   router_->deliver(
-      1, UpdateMessage::announce(0, Route{AsPath::origin(9).prepended(1), 0}));
+      1, UpdateMessage::announce(0, Route{paths_.from_hops({1, 9}), 0}));
   const auto msgs = to_peer(1);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_TRUE(msgs[1].is_withdrawal());

@@ -333,7 +333,7 @@ TEST(PolicyKindNames, ToString) {
 TEST(Sweep, ProducesPointPerPulse) {
   ExperimentConfig cfg = small_mesh(1);
   cfg.damping.reset();
-  const auto sweep = run_pulse_sweep(cfg, 4);
+  const auto sweep = run_pulse_sweep_median(cfg, 4, 1);
   ASSERT_EQ(sweep.points.size(), 4u);
   for (int n = 1; n <= 4; ++n) {
     EXPECT_EQ(sweep.points[n - 1].pulses, n);
@@ -344,7 +344,7 @@ TEST(Sweep, ProducesPointPerPulse) {
 
 TEST(Sweep, IntendedColumnComesFromModel) {
   ExperimentConfig cfg = small_mesh(1);
-  const auto sweep = run_pulse_sweep(cfg, 3);
+  const auto sweep = run_pulse_sweep_median(cfg, 3, 1);
   EXPECT_FALSE(sweep.points[0].isp_suppressed);
   EXPECT_TRUE(sweep.points[2].isp_suppressed);
   EXPECT_GT(sweep.points[2].intended_convergence_s,

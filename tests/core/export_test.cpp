@@ -56,7 +56,7 @@ TEST(Export, SweepCsv) {
   cfg.topology.width = 5;
   cfg.topology.height = 5;
   cfg.damping.reset();
-  const auto sweep = run_pulse_sweep(cfg, 3);
+  const auto sweep = run_pulse_sweep_median(cfg, 3, 1);
   const std::string csv = sweep_csv(sweep);
   EXPECT_EQ(count_lines(csv), 4u);
   EXPECT_EQ(csv.find("pulses,"), 0u);

@@ -55,8 +55,10 @@ TEST(ObsDeterminism, SerialRerunProducesIdenticalMetricsAndTraces) {
   const std::string base_a = ::testing::TempDir() + "obs_rerun_a";
   const std::string base_b = ::testing::TempDir() + "obs_rerun_b";
   ParallelRunner serial(1);
-  const SweepResult a = run_pulse_sweep(obs_config(base_a), 2, &serial);
-  const SweepResult b = run_pulse_sweep(obs_config(base_b), 2, &serial);
+  const SweepResult a =
+      run_pulse_sweep_median(obs_config(base_a), 2, 1, &serial);
+  const SweepResult b =
+      run_pulse_sweep_median(obs_config(base_b), 2, 1, &serial);
   EXPECT_FALSE(a.metrics.empty());
   EXPECT_EQ(a.metrics.json(), b.metrics.json());
   for (int p = 1; p <= 2; ++p) {
@@ -69,8 +71,10 @@ TEST(ObsDeterminism, PoolMatchesSerialOnPulseSweep) {
   const std::string base_p = ::testing::TempDir() + "obs_sweep_pool";
   ParallelRunner serial(1);
   ParallelRunner pool(4);
-  const SweepResult a = run_pulse_sweep(obs_config(base_s), 3, &serial);
-  const SweepResult b = run_pulse_sweep(obs_config(base_p), 3, &pool);
+  const SweepResult a =
+      run_pulse_sweep_median(obs_config(base_s), 3, 1, &serial);
+  const SweepResult b =
+      run_pulse_sweep_median(obs_config(base_p), 3, 1, &pool);
   EXPECT_TRUE(same_points(a, b));
   EXPECT_FALSE(a.metrics.empty());
   EXPECT_EQ(a.metrics.json(), b.metrics.json());
@@ -107,7 +111,7 @@ TEST(ObsDeterminism, SpanAndPhaseRecordsAppearInJsonlTraces) {
   const std::string base = ::testing::TempDir() + "obs_span_jsonl";
   ParallelRunner serial(1);
   ExperimentConfig cfg = obs_config(base);
-  run_pulse_sweep(cfg, 3, &serial);
+  run_pulse_sweep_median(cfg, 3, 1, &serial);
   const std::string t = slurp(trial_trace(base, 3, 7));
   // The causal tree and the phase timelines ride in the same event log.
   EXPECT_NE(t.find("\"type\":\"span\""), std::string::npos);
@@ -126,8 +130,8 @@ TEST(ObsDeterminism, PoolMatchesSerialOnChromeTraces) {
   ExperimentConfig cfg_p = obs_config(base_p);
   cfg_s.trace_format = obs::TraceFormat::kChrome;
   cfg_p.trace_format = obs::TraceFormat::kChrome;
-  run_pulse_sweep(cfg_s, 3, &serial);
-  run_pulse_sweep(cfg_p, 3, &pool);
+  run_pulse_sweep_median(cfg_s, 3, 1, &serial);
+  run_pulse_sweep_median(cfg_p, 3, 1, &pool);
   for (int p = 1; p <= 3; ++p) {
     const std::string ta = slurp(trial_trace(base_s, p, 7));
     const std::string tb = slurp(trial_trace(base_p, p, 7));
@@ -152,6 +156,12 @@ TEST(ObsDeterminism, PoolMatchesSerialOnProfileCounts) {
   EXPECT_GT(a.profile.row(sim::EventKind::kFlap).fired, 0u);
   // The deterministic artifact (counts, no wall time) is byte-identical.
   EXPECT_EQ(a.profile.json(), b.profile.json());
+  // So are the interning counters: every run interns into a fresh table of
+  // its own network, whichever worker runs it and whatever ran there before.
+  EXPECT_GT(a.profile.alloc.node_builds, 0u);
+  EXPECT_EQ(a.profile.alloc.intern_requests, b.profile.alloc.intern_requests);
+  EXPECT_EQ(a.profile.alloc.node_builds, b.profile.alloc.node_builds);
+  EXPECT_EQ(a.profile.alloc.prepend_hits, b.profile.alloc.prepend_hits);
   // Wall time is the one field allowed to differ; it never reaches the
   // artifact but must have been measured.
   EXPECT_GT(a.profile.row(sim::EventKind::kDelivery).wall_ns, 0u);
@@ -163,7 +173,7 @@ TEST(ObsDeterminism, ProfileOffLeavesProfileEmpty) {
   cfg.topology.width = 5;
   cfg.topology.height = 5;
   cfg.seed = 7;
-  const SweepResult r = run_pulse_sweep(cfg, 1, &serial);
+  const SweepResult r = run_pulse_sweep_median(cfg, 1, 1, &serial);
   EXPECT_TRUE(r.profile.empty());
 }
 
@@ -173,7 +183,7 @@ TEST(ObsDeterminism, MetricsOffLeavesRegistryEmpty) {
   cfg.topology.width = 5;
   cfg.topology.height = 5;
   cfg.seed = 7;
-  const SweepResult r = run_pulse_sweep(cfg, 1, &serial);
+  const SweepResult r = run_pulse_sweep_median(cfg, 1, 1, &serial);
   EXPECT_TRUE(r.metrics.empty());
 }
 

@@ -170,8 +170,8 @@ TEST(SweepDeterminism, ParallelMatchesSerial) {
   const SweepResult b = run_pulse_sweep_median(cfg, 3, 3, &pool);
   EXPECT_TRUE(identical(a, b));
 
-  const SweepResult c = run_pulse_sweep(cfg, 3, &serial);
-  const SweepResult d = run_pulse_sweep(cfg, 3, &pool);
+  const SweepResult c = run_pulse_sweep_median(cfg, 3, 1, &serial);
+  const SweepResult d = run_pulse_sweep_median(cfg, 3, 1, &pool);
   EXPECT_TRUE(identical(c, d));
 }
 

@@ -6,6 +6,7 @@
 
 #include <optional>
 
+#include "bgp/path_table.hpp"
 #include "rfd/damping.hpp"
 #include "sim/random.hpp"
 
@@ -23,6 +24,7 @@ class DampingFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DampingFuzz, InvariantsUnderRandomUpdateStreams) {
   sim::Rng rng(GetParam());
   const DampingParams params = DampingParams::cisco();
+  bgp::PathTable paths;
   sim::Engine engine;
   int reuse_count = 0;
   DampingModule module(0, {1, 2}, params, engine,
@@ -50,8 +52,8 @@ TEST_P(DampingFuzz, InvariantsUnderRandomUpdateStreams) {
     UpdateMessage msg = UpdateMessage::withdraw(kP);
     if (rng.bernoulli(0.6)) {
       const auto origin = static_cast<net::NodeId>(rng.uniform_index(5) + 10);
-      Route r{bgp::AsPath::origin(origin), 100};
-      if (rng.bernoulli(0.5)) r.path = r.path.prepended(slot + 1);
+      Route r{paths.origin(origin), 100};
+      if (rng.bernoulli(0.5)) r.path = paths.prepend(r.path, slot + 1);
       msg = UpdateMessage::announce(kP, r);
     }
     const bool loop_denied = rng.bernoulli(0.1);
@@ -101,6 +103,7 @@ class RcnFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RcnFuzz, RcnNeverChargesMoreThanOncePerRootCause) {
   sim::Rng rng(GetParam());
   const DampingParams params = DampingParams::cisco();
+  bgp::PathTable paths;
   sim::Engine engine;
   DampingModule module(0, {1}, params, engine,
                        [](int, bgp::Prefix) { return false; });
@@ -121,7 +124,7 @@ TEST_P(RcnFuzz, RcnNeverChargesMoreThanOncePerRootCause) {
     UpdateMessage msg = UpdateMessage::withdraw(kP, rc);
     if (rng.bernoulli(0.5)) {
       const auto origin = static_cast<net::NodeId>(rng.uniform_index(4) + 10);
-      msg = UpdateMessage::announce(kP, Route{bgp::AsPath::origin(origin), 100},
+      msg = UpdateMessage::announce(kP, Route{paths.origin(origin), 100},
                                     rc);
     }
     module.on_update(0, msg, prev, false);

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "bgp/path_table.hpp"
+
 namespace rfdnet::rfd {
 namespace {
 
@@ -13,8 +15,6 @@ using sim::Duration;
 using sim::SimTime;
 
 constexpr bgp::Prefix kP = 0;
-
-Route route(net::NodeId origin) { return Route{bgp::AsPath::origin(origin), 100}; }
 
 class DampingModuleTest : public ::testing::Test {
  protected:
@@ -51,6 +51,11 @@ class DampingModuleTest : public ::testing::Test {
     }
   }
 
+  Route route(net::NodeId origin) {
+    return Route{paths_.origin(origin), 100};
+  }
+
+  bgp::PathTable paths_;
   sim::Engine engine_;
   std::unique_ptr<DampingModule> module_;
   std::optional<Route> prev_[2];

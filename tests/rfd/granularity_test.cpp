@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bgp/path_table.hpp"
 #include "rfd/damping.hpp"
 
 namespace rfdnet::rfd {
@@ -21,6 +22,7 @@ TEST_P(GranularityProperty, ReuseTimeOnGridAndNotEarly) {
   DampingParams params = DampingParams::cisco();
   params.reuse_granularity_s = g;
 
+  bgp::PathTable paths;
   sim::Engine engine;
   int reuses = 0;
   DampingModule module(0, {1}, params, engine, [&reuses](int, bgp::Prefix) {
@@ -29,9 +31,9 @@ TEST_P(GranularityProperty, ReuseTimeOnGridAndNotEarly) {
   });
 
   // Drive over the cutoff: W, attr, attr, W ~ 3000.
-  const Route r1{bgp::AsPath::origin(9).prepended(1), 100};
-  const Route r2{bgp::AsPath::origin(8).prepended(1), 100};
-  const Route r3{bgp::AsPath::origin(7).prepended(1), 100};
+  const Route r1{paths.from_hops({1, 9}), 100};
+  const Route r2{paths.from_hops({1, 8}), 100};
+  const Route r3{paths.from_hops({1, 7}), 100};
   std::optional<Route> prev;
   const auto at = [&](double t) {
     const auto target = SimTime::from_seconds(t);
@@ -91,6 +93,7 @@ TEST(Granularity, BoundaryPenaltyWaitsAtLeastOnePeriod) {
   params.reuse = 1000.0 - 1e-7;
   params.withdrawal_penalty = 1000.0 + 1e-7;  // wait ~0.3us: rounds to 0
 
+  bgp::PathTable paths;
   sim::Engine engine;
   int reuses = 0;
   DampingModule module(0, {1}, params, engine, [&reuses](int, bgp::Prefix) {
@@ -98,7 +101,7 @@ TEST(Granularity, BoundaryPenaltyWaitsAtLeastOnePeriod) {
     return false;
   });
 
-  const Route r{bgp::AsPath::origin(9).prepended(1), 100};
+  const Route r{paths.from_hops({1, 9}), 100};
   module.on_update(0, UpdateMessage::announce(kP, r), std::nullopt, false);
   module.on_update(0, UpdateMessage::withdraw(kP), r, false);
   ASSERT_TRUE(module.suppressed(0, kP));

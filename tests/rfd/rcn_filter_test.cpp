@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "bgp/path_table.hpp"
 #include "rfd/damping.hpp"
 
 namespace rfdnet::rfd {
@@ -20,10 +21,6 @@ using bgp::UpdateMessage;
 using sim::SimTime;
 
 constexpr bgp::Prefix kP = 0;
-
-Route route(net::NodeId origin) {
-  return Route{bgp::AsPath::origin(origin), 100};
-}
 
 rcn::RootCause down_rc(std::uint64_t seq) {
   return rcn::RootCause{100, 101, /*up=*/false, seq};
@@ -64,6 +61,11 @@ class RcnFilterTest : public ::testing::Test {
     }
   }
 
+  Route route(net::NodeId origin) {
+    return Route{paths_.origin(origin), 100};
+  }
+
+  bgp::PathTable paths_;
   sim::Engine engine_;
   std::unique_ptr<DampingModule> module_;
   std::optional<Route> prev_;

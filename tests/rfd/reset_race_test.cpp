@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bgp/network.hpp"
+#include "bgp/path_table.hpp"
 #include "bgp/policy.hpp"
 #include "fault/injector.hpp"
 #include "net/topology.hpp"
@@ -21,8 +22,6 @@ using bgp::Route;
 using bgp::UpdateMessage;
 
 constexpr bgp::Prefix kP = 0;
-
-Route route(net::NodeId origin) { return Route{bgp::AsPath::origin(origin), 100}; }
 
 class ResetRaceTest : public ::testing::Test {
  protected:
@@ -49,6 +48,11 @@ class ResetRaceTest : public ::testing::Test {
     ASSERT_TRUE(module_->reuse_time(0, kP).has_value());
   }
 
+  Route route(net::NodeId origin) {
+    return Route{paths_.origin(origin), 100};
+  }
+
+  bgp::PathTable paths_;
   sim::Engine engine_;
   std::unique_ptr<DampingModule> module_;
   std::vector<std::pair<int, bgp::Prefix>> reuse_calls_;

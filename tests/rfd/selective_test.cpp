@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bgp/path_table.hpp"
 #include "rfd/damping.hpp"
 
 namespace rfdnet::rfd {
@@ -11,12 +12,6 @@ using bgp::UpdateMessage;
 using sim::SimTime;
 
 constexpr bgp::Prefix kP = 0;
-
-Route route_len(int len) {
-  bgp::AsPath p = bgp::AsPath::origin(100);
-  for (int i = 1; i < len; ++i) p = p.prepended(static_cast<net::NodeId>(i));
-  return Route{p, 100};
-}
 
 UpdateMessage announce_pref(const Route& r, RelPref pref) {
   UpdateMessage m = UpdateMessage::announce(kP, r);
@@ -32,6 +27,15 @@ class SelectiveDampingTest : public ::testing::Test {
     module_.enable_selective();
   }
 
+  Route route_len(int len) {
+    bgp::AsPath p = paths_.origin(100);
+    for (int i = 1; i < len; ++i) {
+      p = paths_.prepend(p, static_cast<net::NodeId>(i));
+    }
+    return Route{p, 100};
+  }
+
+  bgp::PathTable paths_;
   sim::Engine engine_;
   DampingModule module_;
   std::optional<Route> prev_;

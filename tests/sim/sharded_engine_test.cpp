@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -112,27 +111,6 @@ TEST(ShardedEngine, HorizonLeavesLaterEventsPending) {
   EXPECT_EQ(e.pending(), 1u);
   EXPECT_EQ(e.run(), 1u);
   EXPECT_EQ(ran, 2);
-}
-
-TEST(ShardedEngine, ThreadHooksRunOncePerShard) {
-  ShardedEngine e(2);
-  e.set_lookahead(Duration::seconds(1.0));
-  std::mutex mu;
-  std::vector<int> inits, finis;
-  e.set_thread_init([&](int s) {
-    const std::lock_guard<std::mutex> lk(mu);
-    inits.push_back(s);
-  });
-  e.set_thread_fini([&](int s) {
-    const std::lock_guard<std::mutex> lk(mu);
-    finis.push_back(s);
-  });
-  e.shard(0).schedule_at(SimTime::from_seconds(1.0), [] {});
-  e.run();
-  std::sort(inits.begin(), inits.end());
-  std::sort(finis.begin(), finis.end());
-  EXPECT_EQ(inits, (std::vector<int>{0, 1}));
-  EXPECT_EQ(finis, (std::vector<int>{0, 1}));
 }
 
 /// The same logically-keyed workload must execute in the same order at every

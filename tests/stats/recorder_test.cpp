@@ -12,7 +12,7 @@ using bgp::UpdateMessage;
 using sim::SimTime;
 
 UpdateMessage msg() {
-  return UpdateMessage::announce(0, Route{bgp::AsPath::origin(1), 100});
+  return UpdateMessage::announce(0, Route{});  // the recorder reads no path
 }
 
 TEST(Recorder, CountsSendsAndDeliveries) {

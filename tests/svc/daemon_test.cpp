@@ -369,13 +369,13 @@ TEST(SvcDaemon, OverlongLineGetsA400AndTheConnectionCloses) {
   EXPECT_EQ(c.read_line(), std::nullopt);
 }
 
-/// This process's virtual size in KiB (`VmSize` in /proc/self/status).
-long vm_size_kib() {
+/// One KiB figure of this process's /proc/self/status, e.g. "VmSize:".
+long status_kib(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string key;
   long kib = -1;
   while (status >> key) {
-    if (key == "VmSize:") {
+    if (key == field) {
       status >> kib;
       break;
     }
@@ -398,12 +398,44 @@ TEST(SvcDaemon, ClosedConnectionsDoNotKeepTheirThreadStacks) {
   // A few connections first, so the first stacks are already mapped when
   // the baseline is read.
   for (int i = 0; i < 8; ++i) ping_and_close();
-  const long before = vm_size_kib();
+  const long before = status_kib("VmSize:");
   ASSERT_GT(before, 0);
   for (int i = 0; i < 100; ++i) ping_and_close();
   // Each unjoined thread keeps its stack (8 MiB by default) mapped.
-  EXPECT_LT(vm_size_kib() - before, 64L * 1024)
+  EXPECT_LT(status_kib("VmSize:") - before, 64L * 1024)
       << "VmSize before: " << before << " KiB";
+}
+
+TEST(SvcDaemon, DistinctSerialJobsLeaveTheResidentSetFlat) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators keep freed memory resident";
+#endif
+  // One malloc arena, as above: the figure should follow what the jobs
+  // keep, not how many arenas the worker threads happened to create.
+  mallopt(M_ARENA_MAX, 1);
+  core::ParallelRunner pool(2);
+  ServiceConfig svc_cfg;
+  svc_cfg.cache_capacity = 4;
+  svc_cfg.runner = &pool;
+  TestDaemon d(svc_cfg);
+  ASSERT_TRUE(d.started);
+  Client c = d.connect();
+  // `result`-only jobs run on the serial driver. Each seed draws its own
+  // 200-node Internet-like graph, so every job explores paths that no
+  // earlier job saw; nothing a job interns may outlive it.
+  const auto run_job = [&c](int seed) {
+    const std::string reply = roundtrip(
+        c, "{\"op\":\"run\",\"job\":{\"topology\":{\"kind\":"
+           "\"internet\",\"nodes\":200},\"pulses\":1,\"seed\":" +
+               std::to_string(seed) + ",\"outputs\":[\"result\"]}}");
+    EXPECT_EQ(reply.rfind("{\"ok\":true", 0), 0u) << reply;
+  };
+  for (int seed = 1; seed <= 20; ++seed) run_job(seed);
+  const long before = status_kib("VmRSS:");
+  ASSERT_GT(before, 0);
+  for (int seed = 21; seed <= 80; ++seed) run_job(seed);
+  EXPECT_LT(status_kib("VmRSS:") - before, 2L * 1024)
+      << "VmRSS after job 20: " << before << " KiB";
 }
 
 TEST(SvcDaemon, StartFailsOnOverlongSocketPath) {
