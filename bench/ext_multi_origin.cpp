@@ -5,17 +5,29 @@
 // concurrently, damping caps the per-origin update cost at roughly one
 // charging period each, while the undamped load scales with
 // origins x pulses.
+//
+// `run_multi_origin` records no metrics, trace or profile, so --metrics,
+// --trace, --trace-format and --profile exit 2 before any run.
 
 #include <iostream>
+#include <string>
 
-#include "core/cli.hpp"
 #include "core/multi_origin.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
 
 int main(int argc, char** argv) {
   rfdnet::core::ParallelRunner::configure_from_args(argc, argv);
-  const rfdnet::core::ObsScope obs(argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    for (const std::string flag :
+         {"--metrics", "--trace", "--trace-format", "--profile"}) {
+      if (arg == flag || arg.rfind(flag + "=", 0) == 0) {
+        std::cerr << "ext_multi_origin: " << flag << " is not supported\n";
+        return 2;
+      }
+    }
+  }
   using namespace rfdnet;
 
   std::cout << "Extension: concurrent unstable origins (100-node mesh, 5 "

@@ -17,9 +17,8 @@
 // per-shard working set. The per-shard degree balance that multi-core
 // speedup depends on is asserted by the partition unit tests, not here.
 //
-// Wired into scripts/bench_baseline.sh ("micro_shard" section of
-// BENCH_<date>.json) and gated by scripts/check.sh --bench alongside
-// micro_engine and micro_propagation.
+// Nothing gates its timings against a baseline: read them as a comparison
+// across shard counts within one run, on the host that ran it.
 //
 // Second mode: `micro_shard --scorecard` runs the sharded experiment driver
 // on the §7 208-node Internet graph at 1/2/4 shards and exits non-zero

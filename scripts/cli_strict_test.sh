@@ -3,16 +3,16 @@
 # exit code 2 and a per-flag message, on real binaries (not just unit tests).
 #
 # Usage: cli_strict_test.sh <rfdsim> <repro_scorecard> <ext_full_table> <rfdnetd>
-#                           <ext_fault_storm>
+#                           <ext_fault_storm> <ext_multi_origin>
 #
 # Registered in ctest as CliStrictParse (label: fast). Every case here exits
 # during argument handling or config validation, before any simulation work
 # starts, so the whole script runs in well under a second.
 set -u
 
-if [ "$#" -ne 5 ]; then
+if [ "$#" -ne 6 ]; then
   echo "usage: $0 <rfdsim> <repro_scorecard> <ext_full_table> <rfdnetd>" \
-    "<ext_fault_storm>" >&2
+    "<ext_fault_storm> <ext_multi_origin>" >&2
   exit 2
 fi
 RFDSIM=$1
@@ -20,6 +20,7 @@ SCORECARD=$2
 FULL_TABLE=$3
 RFDNETD=$4
 FAULT_STORM=$5
+MULTI_ORIGIN=$6
 
 failures=0
 
@@ -113,6 +114,18 @@ expect2 "ext_fault_storm rejects garbage in --rates" \
 expect2 "ext_fault_storm rejects a malformed --fault-schedule" \
   "ext_fault_storm: fault schedule: statement must start with '@TIME'" \
   "$FAULT_STORM" --fault-schedule bogus
+
+# --- ext_multi_origin: the obs flags it would ignore, before any run -------
+expect2 "ext_multi_origin rejects --metrics" \
+  "ext_multi_origin: --metrics is not supported" "$MULTI_ORIGIN" --metrics
+expect2 "ext_multi_origin rejects --trace" \
+  "ext_multi_origin: --trace is not supported" \
+  "$MULTI_ORIGIN" --trace /tmp/cli-strict-unused
+expect2 "ext_multi_origin rejects --trace-format" \
+  "ext_multi_origin: --trace-format is not supported" \
+  "$MULTI_ORIGIN" --trace-format=jsonl
+expect2 "ext_multi_origin rejects --profile" \
+  "ext_multi_origin: --profile is not supported" "$MULTI_ORIGIN" --profile -
 
 # --- rfdnetd: daemon flags -------------------------------------------------
 expect2 "rfdnetd rejects garbage --queue" "invalid value 'abc' for --queue" \

@@ -5,7 +5,8 @@
 namespace rfdnet::core {
 
 /// Config-validation helpers for the cross-cutting observability knobs,
-/// shared by `ExperimentConfig::validate` and `FullTableConfig::validate`.
+/// shared by the `validate()` of `ExperimentConfig`, `FullTableConfig` and
+/// `MultiOriginConfig`.
 /// One implementation, one message shape — `"<who>: ..."`.
 
 /// `stability_gap_s` must be strictly positive (and finite) whenever

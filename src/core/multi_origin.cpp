@@ -6,6 +6,7 @@
 
 #include "bgp/network.hpp"
 #include "bgp/policy.hpp"
+#include "core/config_validate.hpp"
 #include "rcn/root_cause.hpp"
 #include "rfd/damping.hpp"
 #include "sim/engine.hpp"
@@ -13,14 +14,27 @@
 
 namespace rfdnet::core {
 
-MultiOriginResult run_multi_origin(const MultiOriginConfig& cfg) {
-  if (cfg.origins < 1) throw std::invalid_argument("multi-origin: origins < 1");
-  if (cfg.pulses < 0) throw std::invalid_argument("multi-origin: pulses < 0");
-  if (cfg.flap_interval_s <= 0 || cfg.stagger_s < 0) {
+void MultiOriginConfig::validate() const {
+  if (origins < 1) throw std::invalid_argument("multi-origin: origins < 1");
+  if (pulses < 0) throw std::invalid_argument("multi-origin: pulses < 0");
+  if (flap_interval_s <= 0 || stagger_s < 0) {
     throw std::invalid_argument("multi-origin: bad intervals");
   }
-  if (cfg.damping) cfg.damping->validate();
-  cfg.timing.validate();
+  // Spans on the clock; the last flap is the latest instant scheduled.
+  validate_span(flap_interval_s, "multi-origin: flap_interval_s");
+  validate_span(stagger_s, "multi-origin: stagger_s");
+  validate_span(stagger_s * (origins - 1) +
+                    (2.0 * pulses - 1.0) * flap_interval_s,
+                "multi-origin: stagger_s x (origins - 1) + "
+                "(2 x pulses - 1) x flap_interval_s");
+  validate_span(max_sim_s, "multi-origin: max_sim_s");
+  validate_span(topology.link_delay_s, "multi-origin: link_delay_s");
+  if (damping) damping->validate();
+  timing.validate();
+}
+
+MultiOriginResult run_multi_origin(const MultiOriginConfig& cfg) {
+  cfg.validate();
 
   sim::Rng rng(cfg.seed);
   sim::Rng topo_rng = rng.split();

@@ -29,6 +29,11 @@ struct MultiOriginConfig {
 
   std::uint64_t seed = 1;
   double max_sim_s = 50000.0;
+
+  /// Throws `std::invalid_argument` for a value no run can use, before
+  /// anything is simulated. What needs the graph (enough nodes for the
+  /// origins) is checked as soon as it is built.
+  void validate() const;
 };
 
 struct MultiOriginResult {

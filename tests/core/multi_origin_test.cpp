@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace rfdnet::core {
 namespace {
 
@@ -23,6 +27,40 @@ TEST(MultiOrigin, RejectsBadConfig) {
   MultiOriginConfig bad = small(1, 1);
   bad.flap_interval_s = 0;
   EXPECT_THROW(run_multi_origin(bad), std::invalid_argument);
+
+  // Spans past the clock, NaN included, are rejected by name before the
+  // warm-up runs (they used to surface as "scheduling into the past" or a
+  // warm-up that "did not converge").
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](const MultiOriginConfig& cfg,
+                                   const std::string& field) {
+    try {
+      run_multi_origin(cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  MultiOriginConfig cfg = small(2, 2);
+  cfg.flap_interval_s = nan;
+  expect_rejected(cfg, "flap_interval_s");
+  cfg = small(2, 2);
+  cfg.flap_interval_s = 1e300;
+  expect_rejected(cfg, "flap_interval_s");
+  cfg = small(2, 2);
+  cfg.stagger_s = nan;
+  expect_rejected(cfg, "stagger_s");
+  cfg = small(2, 2);
+  cfg.stagger_s = 6e8;  // each span fits; the second origin's last flap not
+  cfg.flap_interval_s = 2e8;
+  expect_rejected(cfg, "stagger_s x (origins - 1) + (2 x pulses - 1)");
+  cfg = small(2, 2);
+  cfg.max_sim_s = nan;
+  expect_rejected(cfg, "max_sim_s");
+  cfg = small(2, 2);
+  cfg.topology.link_delay_s = 1e300;
+  expect_rejected(cfg, "link_delay_s");
 }
 
 TEST(MultiOrigin, SingleOriginBehavesLikeExperiment) {
